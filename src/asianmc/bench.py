@@ -17,30 +17,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import estimators, greeks
-from .estimators import Estimate, stable_exp_rate
-from .paths import MCConfig, _chunk_normals, PATHS_PER_CHUNK, default_steps, sample_ensemble
-
-DIST_PARAMS: Mapping[str, tuple[str, ...]] = {
-    "cdf": ("a", "t", "nu"),
-    "density": ("a", "t"),
-    "joint_cdf": ("b", "a", "t"),
-    "call_kernel": ("a", "t", "nu"),
-    "call_kernel_d1": ("a", "t"),
-    "call_kernel_d2": ("a", "t"),
-}
-GREEK_PARAMS: tuple[str, ...] = ("s0", "strike", "sigma", "rate", "expiry")
-GREEK_QUANTITIES = ("price", "delta", "gamma", "theta", "vega")
-GREEK_DEFAULTS: Mapping[str, float] = {
-    "s0": 1.0, "strike": 1.0, "sigma": 1.0, "rate": 0.0, "expiry": 1.0,
-}
-DIST_DEFAULTS: Mapping[str, float] = {"t": 1.0, "nu": 0.0}
-
-_METHODS_BY_QUANTITY: Mapping[str, tuple[str, ...]] = {
-    **{q: ("naive", "identity") for q in DIST_PARAMS},
-    "price": ("naive", "identity"),
-    **{q: ("identity", "fd") for q in ("delta", "gamma", "theta", "vega")},
-}
+from . import estimators, greeks  # greeks adds its rows to QUANTITIES
+from .estimators import QUANTITIES, Estimate, shared_ensemble, stable_exp_rate
+from .paths import NONNEGATIVE, PATHS_PER_CHUNK, MCConfig, _chunk_normals, check_param, default_steps
 
 
 @dataclass(frozen=True)
@@ -56,17 +35,17 @@ class SweepSpec:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
-        if self.quantity not in _METHODS_BY_QUANTITY:
+        if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown sweep quantity {self.quantity!r}")
-        allowed = set(_param_names(self.quantity))
+        q = QUANTITIES[self.quantity]
         for name, values in self.grids.items():
-            if name not in allowed:
+            if name not in q.params:
                 raise ValueError(f"{self.quantity} does not take a grid over {name!r}")
             if len(values) == 0:
                 raise ValueError(f"empty grid for {name!r}")
         if not self.n_paths or not self.seeds or not self.methods:
             raise ValueError("n_paths, seeds and methods must be nonempty")
-        bad = set(self.methods) - set(_METHODS_BY_QUANTITY[self.quantity])
+        bad = set(self.methods) - set(q.methods)
         if bad:
             raise ValueError(f"methods {sorted(bad)} not valid for {self.quantity}")
 
@@ -136,60 +115,20 @@ class SweepResult:
         return float(arr.mean()), se
 
 
-def _param_names(quantity: str) -> tuple[str, ...]:
-    return DIST_PARAMS.get(quantity, GREEK_PARAMS)
-
-
 def _points(spec: SweepSpec) -> list[tuple[tuple[str, float], ...]]:
-    names = _param_names(spec.quantity)
-    defaults = DIST_DEFAULTS if spec.quantity in DIST_PARAMS else GREEK_DEFAULTS
+    q = QUANTITIES[spec.quantity]
     axes: list[tuple[float, ...]] = []
-    for name in names:
+    for name in q.params:
         if name in spec.grids:
             axes.append(tuple(float(v) for v in spec.grids[name]))
-        elif name in defaults:
-            axes.append((float(defaults[name]),))
+        elif name in q.defaults:
+            axes.append((float(q.defaults[name]),))
         else:
             raise ValueError(f"{spec.quantity} requires a grid for {name!r}")
     points = [()]
-    for name, values in zip(names, axes):
+    for name, values in zip(q.params, axes):
         points = [pt + ((name, v),) for pt in points for v in values]
     return points
-
-
-def _eval_dist(quantity: str, pt: dict, cfg: MCConfig, method: str, ensemble) -> Estimate:
-    if quantity == "cdf":
-        return estimators.cdf(pt["a"], pt["t"], pt["nu"], cfg, method, ensemble=ensemble)
-    if quantity == "density":
-        return estimators.density(pt["a"], pt["t"], cfg, method, ensemble=ensemble)
-    if quantity == "joint_cdf":
-        return estimators.joint_cdf(pt["b"], pt["a"], pt["t"], cfg, method, ensemble=ensemble)
-    if quantity == "call_kernel":
-        return estimators.call_kernel(pt["a"], pt["t"], pt["nu"], cfg, method, ensemble=ensemble)
-    if quantity == "call_kernel_d1":
-        return estimators.call_kernel_d1(pt["a"], pt["t"], cfg, method, ensemble=ensemble)
-    if quantity == "call_kernel_d2":
-        return estimators.call_kernel_d2(pt["a"], pt["t"], cfg, method, ensemble=ensemble)
-    raise AssertionError(quantity)
-
-
-def _eval_greek(quantity: str, pt: dict, cfg: MCConfig, method: str, ensemble) -> Estimate:
-    spec = greeks.OptionSpec(**pt)
-    fn = {"price": greeks.price, "delta": greeks.delta, "gamma": greeks.gamma,
-          "theta": greeks.theta, "vega": greeks.vega}[quantity]
-    return fn(spec, cfg, method, ensemble=ensemble)
-
-
-def _needed_nus(quantity: str, pt: dict, methods: Iterable[str]) -> tuple[float, ...]:
-    nus = {0.0}
-    for method in methods:
-        if quantity == "cdf" or (quantity == "call_kernel" and method == "naive"):
-            nus.add(pt.get("nu", 0.0))
-    if quantity in ("density", "call_kernel_d2", "gamma", "theta"):
-        nus.add(1.0)
-    if quantity == "vega":
-        nus.add(1.0)
-    return tuple(sorted(nus))
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
@@ -199,42 +138,32 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     (for example a tail-underflow region) cannot abort a whole sweep.
     Work is grouped by shared path ensemble; groups may run concurrently.
     """
-    points = _points(spec)
-    is_dist = spec.quantity in DIST_PARAMS
-
-    groups: dict[tuple, list] = {}
-    for pt in points:
-        ptd = dict(pt)
-        horizon = ptd["t"] if is_dist else greeks.OptionSpec(**ptd).horizon
+    q = QUANTITIES[spec.quantity]
+    # (horizon, n_paths, n_steps, seed) -> {point: public-function arguments};
+    # a repeated grid value, path count or seed adds no second row
+    groups: dict[tuple, dict] = {}
+    for pt in _points(spec):
+        args = q.arguments(dict(pt))
+        horizon = q.horizon(args)
         for n in spec.n_paths:
             for seed in spec.seeds:
                 key = (horizon, n, spec.n_steps or default_steps(horizon), seed)
-                groups.setdefault(key, []).append(pt)
+                groups.setdefault(key, {})[pt] = args
 
     def run_group(item) -> list[SweepRow]:
         (horizon, n, steps, seed), pts = item
         cfg = MCConfig(n_paths=n, n_steps=steps, master_seed=seed,
                        antithetic=spec.antithetic)
+        try:
+            ens = shared_ensemble(horizon, cfg, [
+                (spec.quantity, m, args) for args in pts.values() for m in spec.methods])
+        except ValueError:
+            ens = None  # then every call below meets the same error itself
         rows: list[SweepRow] = []
-        seen = []
-        for pt in pts:
-            if pt in seen:
-                continue
-            seen.append(pt)
-            ptd = dict(pt)
-            nus = _needed_nus(spec.quantity, ptd, spec.methods)
-            try:
-                ens = sample_ensemble(horizon, nus, cfg)
-            except Exception as exc:  # pragma: no cover - defensive
-                ens = None
-                sim_error = str(exc)
+        for pt, args in pts.items():
             for method in spec.methods:
-                if ens is None:
-                    rows.append(SweepRow(pt, n, method, seed, None, sim_error))
-                    continue
                 try:
-                    evaluate = _eval_dist if is_dist else _eval_greek
-                    est = evaluate(spec.quantity, ptd, cfg, method, ens)
+                    est = estimators.estimate(spec.quantity, args, cfg, method, ens)
                     rows.append(SweepRow(pt, n, method, seed, est))
                 except Exception as exc:
                     rows.append(SweepRow(pt, n, method, seed, None, str(exc)))
@@ -270,6 +199,8 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int],
     (each grid sample has unit expectation), so gaps there show pure shared
     Monte Carlo noise; drifted runs show the genuine O(dt^2) quadrature bias.
     """
+    check_param("time t", t, NONNEGATIVE)
+    check_param("drift nu", nu)
     steps = sorted(set(int(s) for s in steps_grid))
     if not steps:
         raise ValueError("steps grid must be nonempty")

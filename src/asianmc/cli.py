@@ -19,10 +19,11 @@ import csv
 import io
 import os
 import sys
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from . import bench, estimators, greeks
-from .estimators import Estimate
+from . import bench, greeks
+from .estimators import (IDENTITY, NAIVE, QUANTITIES, Estimate, _fd_bandwidth, estimate,
+                         shared_ensemble)
 from .paths import MCConfig, default_steps
 
 CSV_HEADER = (
@@ -51,18 +52,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row(quantity: str, method: str, est: Estimate, cfg: MCConfig, *,
-         a=None, t=None, nu=None, s0=None, strike=None, sigma=None, rate=None,
-         expiry=None, seed=None, n_paths=None, n_steps=None,
-         extra_flags: Sequence[str] = ()) -> list[str]:
-    flags = ";".join(tuple(est.flags) + tuple(extra_flags))
+def _row(quantity: str, method: str, est: Estimate, params: Mapping, n_paths: int,
+         n_steps: int | str, seed: int, flags: Sequence[str] = ()) -> list[str]:
+    """One CSV row; the parameter columns are read from ``params`` by name,
+    and a ``b`` parameter, which has no column, leads the flags."""
+    if "b" in params:
+        flags = (f"b={params['b']:.17g}",) + tuple(flags)
     return [
-        quantity, method, _fmt(a), _fmt(t), _fmt(nu), _fmt(s0), _fmt(strike),
-        _fmt(sigma), _fmt(rate), _fmt(expiry),
-        _fmt(cfg.n_paths if n_paths is None else n_paths),
-        _fmt(cfg.n_steps if n_steps is None else n_steps),
-        _fmt(cfg.master_seed if seed is None else seed),
-        _fmt(est.mean), _fmt(est.stderr), "", flags,
+        quantity, method, *(_fmt(params.get(name)) for name in CSV_HEADER[2:10]),
+        _fmt(n_paths), _fmt(n_steps), _fmt(seed),
+        _fmt(est.mean), _fmt(est.stderr), "", ";".join(tuple(est.flags) + tuple(flags)),
     ]
 
 
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", "evaluate a quantity over parameter grids")
     p.add_argument("--quantity", required=True,
-                   choices=tuple(bench.DIST_PARAMS) + bench.GREEK_QUANTITIES,
+                   choices=tuple(QUANTITIES),
                    help="what to sweep")
     p.add_argument("--grid", action="append", default=[], metavar="NAME=V1,V2,...",
                    help="parameter grid, repeatable (e.g. --grid a=0.5,1,2)")
@@ -180,12 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _methods(args, quantity: str) -> tuple[str, ...]:
-    if args.method != "both":
-        return (args.method,)
-    if quantity in bench.DIST_PARAMS or quantity == "price":
-        return ("naive", "identity")
-    return ("identity", "fd")
+def _method_choice(args, valid: Sequence[str]) -> tuple[str, ...]:
+    if args.method == "both":
+        return tuple(valid)
+    if args.method not in valid:
+        raise ValueError(f"--method {args.method} is not valid for {args.command}; "
+                         f"choose from both, {', '.join(valid)}")
+    return (args.method,)
 
 
 def _cfg(args, horizon: float) -> MCConfig:
@@ -194,84 +194,40 @@ def _cfg(args, horizon: float) -> MCConfig:
                     antithetic=args.antithetic)
 
 
-def _run_price(args) -> list[list[str]]:
-    spec = greeks.OptionSpec(args.s0, args.strike, args.sigma, args.rate, args.expiry)
-    cfg = _cfg(args, spec.horizon)
-    opt = dict(s0=spec.s0, strike=spec.strike, sigma=spec.sigma,
-               rate=spec.rate, expiry=spec.expiry)
-    return [
-        _row("price", m, greeks.price(spec, cfg, m), cfg, **opt)
-        for m in _methods(args, "price")
-        if m != "fd"
-    ]
+def _run_quantity(args) -> list[list[str]]:
+    """One quantity at one point, every chosen method on one shared ensemble."""
+    if args.command == "kernel":
+        name = ("call_kernel", "call_kernel_d1", "call_kernel_d2")[args.order]
+        if args.order and args.nu != 0.0:
+            raise ValueError(f"--nu is taken only by kernel --order 0, not --order {args.order}")
+    else:
+        name = {"joint": "joint_cdf"}.get(args.command, args.command)
+    q = QUANTITIES[name]
+    methods = _method_choice(args, tuple(q.methods))
+    call = q.arguments({p: getattr(args, p) for p in q.params})
+    horizon = q.horizon(call)
+    cfg = _cfg(args, horizon)
+    ens = shared_ensemble(horizon, cfg, [(name, m, call) for m in methods])
+    options = {"bandwidth": args.bandwidth} if name == "density" else {}
+    rows = []
+    for m in methods:
+        est = estimate(name, call, cfg, m, ens, **options)
+        flags = (f"h={_fd_bandwidth(args.a, args.bandwidth):.17g}",) \
+            if options and m == NAIVE else ()
+        rows.append(_row(name, m, est, vars(args), cfg.n_paths, cfg.n_steps,
+                         cfg.master_seed, flags))
+    return rows
 
 
 def _run_greeks(args) -> list[list[str]]:
     spec = greeks.OptionSpec(args.s0, args.strike, args.sigma, args.rate, args.expiry)
     cfg = _cfg(args, spec.horizon)
-    opt = dict(s0=spec.s0, strike=spec.strike, sigma=spec.sigma,
-               rate=spec.rate, expiry=spec.expiry)
-    method = "identity" if args.method in ("both", "fd") else args.method
+    method = IDENTITY if args.method == "both" else _method_choice(args, (NAIVE, IDENTITY))[0]
     report = greeks.greek_report(spec, cfg, method, fd_check=args.fd_check)
-    rows = [
-        _row("price", report.price.method, report.price, cfg, **opt),
-        _row("delta", report.delta.method, report.delta, cfg, **opt),
-        _row("gamma", report.gamma.method, report.gamma, cfg, **opt),
-        _row("theta", report.theta.method, report.theta, cfg, **opt),
-        _row("vega", report.vega.method, report.vega, cfg, **opt),
-    ]
-    if report.fd_cross_checks:
-        for name in ("delta", "gamma", "theta", "vega"):
-            est = report.fd_cross_checks[name]
-            rows.append(_row(name, "fd", est, cfg, **opt))
-    return rows
-
-
-def _run_cdf(args) -> list[list[str]]:
-    cfg = _cfg(args, args.t)
-    return [
-        _row("cdf", m, estimators.cdf(args.a, args.t, args.nu, cfg, m), cfg,
-             a=args.a, t=args.t, nu=args.nu)
-        for m in _methods(args, "cdf")
-    ]
-
-
-def _run_density(args) -> list[list[str]]:
-    cfg = _cfg(args, args.t)
-    rows = []
-    for m in _methods(args, "density"):
-        est = estimators.density(args.a, args.t, cfg, m, bandwidth=args.bandwidth)
-        extra = ()
-        if m == "naive":
-            h = args.bandwidth if args.bandwidth is not None else 0.05 * args.a
-            extra = (f"h={h:.17g}",)
-        rows.append(_row("density", m, est, cfg, a=args.a, t=args.t, extra_flags=extra))
-    return rows
-
-
-def _run_joint(args) -> list[list[str]]:
-    cfg = _cfg(args, args.t)
-    return [
-        _row("joint_cdf", m, estimators.joint_cdf(args.b, args.a, args.t, cfg, m), cfg,
-             a=args.a, t=args.t, extra_flags=(f"b={args.b:.17g}",))
-        for m in _methods(args, "joint_cdf")
-    ]
-
-
-def _run_kernel(args) -> list[list[str]]:
-    cfg = _cfg(args, args.t)
-    if args.order == 0:
-        name, fn = "call_kernel", lambda m: estimators.call_kernel(
-            args.a, args.t, args.nu, cfg, m)
-    elif args.order == 1:
-        name, fn = "call_kernel_d1", lambda m: estimators.call_kernel_d1(
-            args.a, args.t, cfg, m)
-    else:
-        name, fn = "call_kernel_d2", lambda m: estimators.call_kernel_d2(
-            args.a, args.t, cfg, m)
-    nu = args.nu if args.order == 0 else 0.0
-    return [_row(name, m, fn(m), cfg, a=args.a, t=args.t, nu=nu)
-            for m in _methods(args, name)]
+    ests = [(name, getattr(report, name)) for name in ("price", "delta", "gamma", "theta", "vega")]
+    ests += (report.fd_cross_checks or {}).items()
+    return [_row(name, est.method, est, vars(args), cfg.n_paths, cfg.n_steps, cfg.master_seed)
+            for name, est in ests]
 
 
 def _parse_grid(items: list[str]) -> dict[str, tuple[float, ...]]:
@@ -291,42 +247,26 @@ def _parse_int_list(text: str | None, fallback: int) -> tuple[int, ...]:
 
 
 def _run_sweep(args) -> list[list[str]]:
+    q = QUANTITIES[args.quantity]
     spec = bench.SweepSpec(
         quantity=args.quantity,
         grids=_parse_grid(args.grid),
         n_paths=_parse_int_list(args.paths_grid, args.paths),
         seeds=_parse_int_list(args.seeds, args.seed),
-        methods=_methods(args, args.quantity),
+        methods=tuple(q.methods) if args.method == "both" else (args.method,),
         n_steps=args.steps,
         antithetic=args.antithetic,
     )
-    result = bench.run_sweep(spec, threads=args.threads)
     rows = []
-    for row in result.rows:
+    for row in bench.run_sweep(spec, threads=args.threads).rows:
         pt = dict(row.point)
-        extra: tuple[str, ...] = ()
-        if "b" in pt:
-            extra = (f"b={pt['b']:.17g}",)
-        if row.error is not None:
-            est = Estimate(0.0, 0.0, row.n_paths, row.method)
-            flags = extra + (f"error={row.error}",)
-            rows.append(_row(args.quantity, row.method, est, _cfg(args, 1.0),
-                             a=pt.get("a"), t=pt.get("t"), nu=pt.get("nu"),
-                             s0=pt.get("s0"), strike=pt.get("strike"),
-                             sigma=pt.get("sigma"), rate=pt.get("rate"),
-                             expiry=pt.get("expiry"), seed=row.seed,
-                             n_paths=row.n_paths,
-                             n_steps=spec.n_steps or "", extra_flags=flags))
-            continue
-        horizon = pt.get("t") if args.quantity in bench.DIST_PARAMS else \
-            greeks.OptionSpec(**pt).horizon
-        steps = spec.n_steps or default_steps(horizon)
-        rows.append(_row(args.quantity, row.method, row.estimate, _cfg(args, horizon),
-                         a=pt.get("a"), t=pt.get("t"), nu=pt.get("nu"),
-                         s0=pt.get("s0"), strike=pt.get("strike"),
-                         sigma=pt.get("sigma"), rate=pt.get("rate"),
-                         expiry=pt.get("expiry"), seed=row.seed,
-                         n_paths=row.n_paths, n_steps=steps, extra_flags=extra))
+        if row.error is None:
+            est, flags = row.estimate, ()
+            steps = spec.n_steps or default_steps(q.horizon(q.arguments(pt)))
+        else:
+            est, flags = Estimate(0.0, 0.0, row.n_paths, row.method), (f"error={row.error}",)
+            steps = spec.n_steps or ""
+        rows.append(_row(args.quantity, row.method, est, pt, row.n_paths, steps, row.seed, flags))
     return rows
 
 
@@ -335,25 +275,14 @@ def _run_bias(args) -> list[list[str]]:
     cfg = MCConfig(n_paths=args.paths, n_steps=max(steps), master_seed=args.seed,
                    antithetic=args.antithetic)
     report = bench.quadrature_bias_report(args.t, args.nu, steps, cfg)
-    rows = []
-    for row in report:
-        est = Estimate(row.mean_integral, row.stderr, cfg.n_paths, "nested")
-        rows.append(_row("quadrature_bias", "nested", est, cfg, t=args.t, nu=args.nu,
-                         n_steps=row.n_steps,
-                         extra_flags=(f"gap={row.closed_form_gap:.17g}",)))
-    return rows
+    return [_row("quadrature_bias", "nested",
+                 Estimate(row.mean_integral, row.stderr, cfg.n_paths, "nested"), vars(args),
+                 cfg.n_paths, row.n_steps, cfg.master_seed, (f"gap={row.closed_form_gap:.17g}",))
+            for row in report]
 
 
-_RUNNERS = {
-    "price": _run_price,
-    "greeks": _run_greeks,
-    "cdf": _run_cdf,
-    "density": _run_density,
-    "joint": _run_joint,
-    "kernel": _run_kernel,
-    "sweep": _run_sweep,
-    "bias": _run_bias,
-}
+# price, cdf, density, joint and kernel each estimate one quantity
+_RUNNERS = {"greeks": _run_greeks, "sweep": _run_sweep, "bias": _run_bias}
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -364,7 +293,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rows = _RUNNERS[args.command](args)
+        rows = _RUNNERS.get(args.command, _run_quantity)(args)
         _emit(rows, args)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\nremedy: adjust the offending parameter and rerun\n")

@@ -10,6 +10,9 @@ Every quantity comes in two independent families:
 
 The two families estimate the same quantities and are meant to be
 cross-validated against each other; :mod:`asianmc.bench` automates that.
+Each quantity is described once, in :data:`QUANTITIES`: its parameters, its
+methods, the drifts each method reads and its per-path values.  The public
+estimators, the sweep and the command line all read that table.
 
 The printed identity weights carry the factor e^{Y - 2/a}, Y = 2M/(a + A).
 That factor is a strict local martingale with a tail of index 1: its
@@ -28,13 +31,14 @@ and the measurements.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .paths import MCConfig, PathBatch, sample_ensemble
+from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_param, sample_ensemble
 
 NAIVE = "naive"
 IDENTITY = "identity"
@@ -84,15 +88,9 @@ class TransformParams:
     nu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError(f"threshold a must be positive, got {self.a}")
-        if self.t < 0.0:
-            raise ValueError(f"time t must be nonnegative, got {self.t}")
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        check_param("threshold a", self.a, POSITIVE)
+        check_param("time t", self.t, NONNEGATIVE)
+        check_param("drift nu", self.nu)
 
 
 def _ensemble_for(
@@ -113,11 +111,12 @@ def _ensemble_for(
 
 
 def _wrap(values: np.ndarray, method: str, started: float,
-          flags: tuple[str, ...] = ()) -> Estimate:
+          flags: tuple[str, ...] = (), mean: float | None = None) -> Estimate:
     n = len(values)
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     wall = (time.perf_counter() - started) * 1e3
-    return Estimate(float(values.mean()), stderr, n, method, wall, flags)
+    return Estimate(float(values.mean()) if mean is None else mean,
+                    stderr, n, method, wall, flags)
 
 
 def stable_exp_rate(nu: float, t: float) -> float:
@@ -230,6 +229,10 @@ def kernel_identity_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray
     e^{nu t/2 - nu^2 t/2} M^nu (a - A).
     """
     t = batch0.t
+    if t == 0.0:
+        # degenerate paths make every per-path value (e^0-1)/nu - a + a = 0;
+        # short-circuit to avoid the one-ulp exp/log round-trip residue
+        return np.zeros(len(batch0))
     m, integ = batch0.terminal, batch0.integral
     body, tail = split_weight(batch0, a)
     scratch = integ + a
@@ -290,6 +293,165 @@ def _fd_bandwidth(a: float, bandwidth: float | None) -> float:
     return h
 
 
+def _density_naive_values(ens, a, bandwidth=None, **_) -> np.ndarray:
+    h = _fd_bandwidth(a, bandwidth)
+    integ = ens[0.0].integral
+    return ((integ <= a + h).astype(float) - (integ <= a - h).astype(float)) / (2.0 * h)
+
+
+def _kernel_d2_naive_values(ens, a, bandwidth=None, **_) -> np.ndarray:
+    h = _fd_bandwidth(a, bandwidth)
+    integ = ens[0.0].integral
+    return (
+        np.maximum(integ - a - h, 0.0)
+        - 2.0 * np.maximum(integ - a, 0.0)
+        + np.maximum(integ - a + h, 0.0)
+    ) / h**2
+
+
+def _joint_identity_values(ens, b, a, **_) -> np.ndarray:
+    batch = ens[0.0]
+    m, integ = batch.terminal, batch.integral
+    body, tail = split_weight(batch, a)
+    bound = integ / a
+    bound += 1.0
+    bound *= bound
+    bound *= b
+    body *= m <= bound
+    tail &= m <= b
+    body += tail
+    return body
+
+
+def _kernel_d1_identity_values(ens, a, **_) -> np.ndarray:
+    values = cdf_identity_values(ens[0.0], a)
+    values -= 1.0
+    return values
+
+
+def _weighted_cdf_estimate(ens, a, nu, **_):
+    values = weighted_cdf_values(ens[nu], a)
+    return values, None, ("tail-underflow",) if values.max() == 0.0 else ()
+
+
+# ---------------------------------------------------------------------------
+# the quantity table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """One row of :data:`QUANTITIES`: how to estimate one quantity.
+
+    ``params`` maps each parameter, in the order of the public function, to
+    the bound :func:`~asianmc.paths.check_param` holds it to (None: finite).
+    ``methods`` maps each method, in the order the command line's ``both``
+    runs them, to ``(drifts, values)``.  ``drifts`` lists the drifts the
+    method reads, each a number or the name of the parameter that holds it;
+    ``values(ensemble, cfg=..., **args)`` returns the per-path values, or
+    ``(values, mean, flags)`` where the mean or the flags are not the plain
+    ones.  The public function is the attribute of ``module`` named after the
+    quantity, looked up at each call, so a wrapper set on that attribute (as
+    perfbench's tracer does) sees every call; ``defaults`` are the sweep's
+    grid defaults.
+    """
+
+    params: Mapping[str, str | None]
+    methods: Mapping[str, tuple[tuple[float | str, ...], Callable]]
+    defaults = {"t": 1.0, "nu": 0.0}
+    module = __name__
+
+    def arguments(self, point: Mapping[str, float]) -> dict:
+        """The public function's arguments at one parameter point."""
+        return dict(point)
+
+    def horizon(self, args: Mapping) -> float:
+        return args["t"]
+
+    def check(self, args: Mapping) -> None:
+        for name, bound in self.params.items():
+            check_param(name, args[name], bound)
+
+    def drifts(self, method: str, args: Mapping) -> tuple[float, ...]:
+        return tuple(args[d] if isinstance(d, str) else d for d in self.methods[method][0])
+
+
+# Every quantity the sweep and the command line know, by public function
+# name; asianmc.greeks adds the option quantities (price and four Greeks).
+QUANTITIES: dict[str, Quantity] = {
+    "cdf": Quantity({"a": POSITIVE, "t": None, "nu": None}, {
+        NAIVE: (("nu",), lambda ens, a, nu, **_: (ens[nu].integral <= a).astype(float)),
+        IDENTITY: (("nu",), lambda ens, a, nu, **_: cdf_identity_values(ens[nu], a)),
+    }),
+    "density": Quantity({"a": POSITIVE, "t": POSITIVE}, {
+        NAIVE: ((0.0,), _density_naive_values),
+        IDENTITY: ((0.0, 1.0),
+                   lambda ens, a, **_: density_identity_values(ens[0.0], ens[1.0], a)),
+    }),
+    "joint_cdf": Quantity({"b": POSITIVE, "a": POSITIVE, "t": None}, {
+        NAIVE: ((0.0,), lambda ens, b, a, **_:
+                ((ens[0.0].terminal < b) & (ens[0.0].integral < a)).astype(float)),
+        IDENTITY: ((0.0,), _joint_identity_values),
+    }),
+    "call_kernel": Quantity({"a": POSITIVE, "t": None, "nu": None}, {
+        NAIVE: (("nu",), lambda ens, a, nu, **_: np.maximum(ens[nu].integral - a, 0.0)),
+        IDENTITY: ((0.0,), lambda ens, a, nu, **_: kernel_identity_values(ens[0.0], a, nu)),
+    }),
+    "call_kernel_d1": Quantity({"a": POSITIVE, "t": POSITIVE}, {
+        NAIVE: ((0.0,), lambda ens, a, **_: -1.0 + (ens[0.0].integral <= a).astype(float)),
+        IDENTITY: ((0.0,), _kernel_d1_identity_values),
+    }),
+    "call_kernel_d2": Quantity({"a": POSITIVE, "t": POSITIVE}, {
+        NAIVE: ((0.0,), _kernel_d2_naive_values),
+        IDENTITY: ((0.0,), lambda ens, a, **_: kernel_d2_identity_values(ens[0.0], a)),
+    }),
+}
+
+_CDF_WEIGHTED = Quantity(QUANTITIES["cdf"].params, {IDENTITY: (("nu",), _weighted_cdf_estimate)})
+
+
+def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
+              ensemble: Mapping[float, PathBatch] | None, **args) -> Estimate:
+    started = time.perf_counter()
+    q.check(args)
+    if cfg is None:
+        raise ValueError("an MCConfig is required")
+    if method not in q.methods:
+        raise ValueError(f"unknown method {method!r}")
+    ens = _ensemble_for(q.horizon(args), q.drifts(method, args), cfg, ensemble)
+    out = q.methods[method][1](ens, cfg=cfg, **args)
+    values, mean, flags = out if isinstance(out, tuple) else (out, None, ())
+    return _wrap(values, method, started, flags, mean)
+
+
+def estimate(quantity: str, args: Mapping, cfg: MCConfig, method: str,
+             ensemble: Mapping[float, PathBatch] | None = None, **options) -> Estimate:
+    """Call the public function of ``quantity`` with ``args`` from
+    :meth:`Quantity.arguments`; ``options`` are its keyword-only extras."""
+    fn = getattr(sys.modules[QUANTITIES[quantity].module], quantity)
+    return fn(**args, cfg=cfg, method=method, ensemble=ensemble, **options)
+
+
+def shared_ensemble(horizon: float, cfg: MCConfig,
+                    calls: Iterable[tuple[str, str, Mapping]]) -> Mapping[float, PathBatch]:
+    """One ensemble at ``horizon`` with every drift the ``(quantity, method,
+    args)`` calls read, so that all of them share one draw of paths.
+
+    Calls whose arguments or method the quantity rejects add no drift; made
+    with this ensemble, they raise their own error.
+    """
+    nus: set[float] = set()
+    for quantity, method, args in calls:
+        q = QUANTITIES[quantity]
+        try:
+            q.check(args)
+        except ValueError:
+            continue
+        if method in q.methods:
+            nus.update(q.drifts(method, args))
+    return _ensemble_for(horizon, tuple(sorted(nus)), cfg, None)
+
+
 # ---------------------------------------------------------------------------
 # public estimators
 # ---------------------------------------------------------------------------
@@ -343,16 +505,7 @@ def cdf(
     so for nu >= 0 every per-path value lies in [0, 2].  The printed indicator-free
     weight is available as :func:`cdf_weighted`.
     """
-    started = time.perf_counter()
-    _require_positive("a", a)
-    if cfg is None:
-        raise ValueError("an MCConfig is required")
-    if method not in (NAIVE, IDENTITY):
-        raise ValueError(f"unknown method {method!r}")
-    batch = _ensemble_for(t, (nu,), cfg, ensemble)[nu]
-    if method == NAIVE:
-        return _wrap((batch.integral <= a).astype(float), NAIVE, started)
-    return _wrap(cdf_identity_values(batch, a), IDENTITY, started)
+    return _estimate(QUANTITIES["cdf"], cfg, method, ensemble, a=a, t=t, nu=nu)
 
 
 def cdf_weighted(
@@ -369,16 +522,7 @@ def cdf_weighted(
     be compared side by side; see the module docstring for why the printed
     weight's finite-sample behavior is poor.
     """
-    started = time.perf_counter()
-    _require_positive("a", a)
-    if cfg is None:
-        raise ValueError("an MCConfig is required")
-    batch = _ensemble_for(t, (nu,), cfg, ensemble)[nu]
-    values = weighted_cdf_values(batch, a)
-    flags: tuple[str, ...] = ()
-    if values.max() == 0.0:
-        flags = ("tail-underflow",)
-    return _wrap(values, IDENTITY, started, flags)
+    return _estimate(_CDF_WEIGHTED, cfg, IDENTITY, ensemble, a=a, t=t, nu=nu)
 
 
 def density(
@@ -397,22 +541,8 @@ def density(
     naive: central finite difference of the empirical CDF with bandwidth
     h = 0.05 a (override with ``bandwidth``), so it carries O(h^2) bias.
     """
-    started = time.perf_counter()
-    _require_positive("a", a)
-    _require_positive("t", t)
-    if cfg is None:
-        raise ValueError("an MCConfig is required")
-    if method == NAIVE:
-        h = _fd_bandwidth(a, bandwidth)
-        batch = _ensemble_for(t, (0.0,), cfg, ensemble)[0.0]
-        integ = batch.integral
-        values = ((integ <= a + h).astype(float) - (integ <= a - h).astype(float)) / (2.0 * h)
-        return _wrap(values, NAIVE, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    ens = _ensemble_for(t, (0.0, 1.0), cfg, ensemble)
-    values = density_identity_values(ens[0.0], ens[1.0], a)
-    return _wrap(values, IDENTITY, started)
+    return _estimate(QUANTITIES["density"], cfg, method, ensemble,
+                     a=a, t=t, bandwidth=bandwidth)
 
 
 def joint_cdf(
@@ -432,26 +562,7 @@ def joint_cdf(
     values are those of :func:`cdf` bit for bit.
     naive: the two-indicator mean.
     """
-    started = time.perf_counter()
-    _require_positive("a", a)
-    _require_positive("b", b)
-    if cfg is None:
-        raise ValueError("an MCConfig is required")
-    batch = _ensemble_for(t, (0.0,), cfg, ensemble)[0.0]
-    m, integ = batch.terminal, batch.integral
-    if method == NAIVE:
-        return _wrap(((m < b) & (integ < a)).astype(float), NAIVE, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    body, tail = split_weight(batch, a)
-    bound = integ / a
-    bound += 1.0
-    bound *= bound
-    bound *= b
-    body *= m <= bound
-    tail &= m <= b
-    body += tail
-    return _wrap(body, IDENTITY, started)
+    return _estimate(QUANTITIES["joint_cdf"], cfg, method, ensemble, b=b, a=a, t=t)
 
 
 def call_kernel(
@@ -464,21 +575,7 @@ def call_kernel(
     ensemble: Mapping[float, PathBatch] | None = None,
 ) -> Estimate:
     """Estimate E[(A_t^{(nu)} - a)^+], the undiscounted Asian call kernel."""
-    started = time.perf_counter()
-    _require_positive("a", a)
-    if cfg is None:
-        raise ValueError("an MCConfig is required")
-    if method == NAIVE:
-        batch = _ensemble_for(t, (nu,), cfg, ensemble)[nu]
-        return _wrap(np.maximum(batch.integral - a, 0.0), NAIVE, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    if t == 0.0:
-        # degenerate paths make every per-path value (e^0-1)/nu - a + a = 0;
-        # short-circuit to avoid the one-ulp exp/log round-trip residue
-        return _wrap(np.zeros(cfg.n_paths), IDENTITY, started)
-    batch0 = _ensemble_for(t, (0.0,), cfg, ensemble)[0.0]
-    return _wrap(kernel_identity_values(batch0, a, nu), IDENTITY, started)
+    return _estimate(QUANTITIES["call_kernel"], cfg, method, ensemble, a=a, t=t, nu=nu)
 
 
 def call_kernel_d1(
@@ -490,19 +587,7 @@ def call_kernel_d1(
     ensemble: Mapping[float, PathBatch] | None = None,
 ) -> Estimate:
     """Estimate d/da E[(A_t - a)^+] = -1 + Pr[A_t <= a]."""
-    started = time.perf_counter()
-    _require_positive("a", a)
-    _require_positive("t", t)
-    if cfg is None:
-        raise ValueError("an MCConfig is required")
-    batch = _ensemble_for(t, (0.0,), cfg, ensemble)[0.0]
-    if method == NAIVE:
-        return _wrap(-1.0 + (batch.integral <= a).astype(float), NAIVE, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    values = cdf_identity_values(batch, a)
-    values -= 1.0
-    return _wrap(values, IDENTITY, started)
+    return _estimate(QUANTITIES["call_kernel_d1"], cfg, method, ensemble, a=a, t=t)
 
 
 def call_kernel_d2(
@@ -519,21 +604,5 @@ def call_kernel_d2(
     naive: second central difference of the naive kernel with h = 0.05 a,
     on shared paths, so it carries O(h^2) bias like the naive density.
     """
-    started = time.perf_counter()
-    _require_positive("a", a)
-    _require_positive("t", t)
-    if cfg is None:
-        raise ValueError("an MCConfig is required")
-    batch = _ensemble_for(t, (0.0,), cfg, ensemble)[0.0]
-    if method == NAIVE:
-        h = _fd_bandwidth(a, bandwidth)
-        integ = batch.integral
-        values = (
-            np.maximum(integ - a - h, 0.0)
-            - 2.0 * np.maximum(integ - a, 0.0)
-            + np.maximum(integ - a + h, 0.0)
-        ) / h**2
-        return _wrap(values, NAIVE, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    return _wrap(kernel_d2_identity_values(batch, a), IDENTITY, started)
+    return _estimate(QUANTITIES["call_kernel_d2"], cfg, method, ensemble,
+                     a=a, t=t, bandwidth=bandwidth)

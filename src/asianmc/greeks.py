@@ -17,27 +17,37 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .estimators import (
-    Estimate,
     IDENTITY,
     NAIVE,
+    QUANTITIES,
+    Estimate,
+    Quantity,
+    _ensemble_for,
+    _estimate,
+    _wrap,
     density_identity_values,
     kernel_identity_values,
+    shared_ensemble,
     split_weight,
     tilted_cdf_values,
     weighted_cdf_values,
 )
-from .paths import MCConfig, PathBatch, sample_batch, sample_ensemble
+from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_param, sample_batch
 
 FD = "fd"
 
 # Relative finite-difference steps, all with common random numbers.
 FD_REL_STEP = {"delta": 1e-2, "gamma": 5e-2, "theta": 5e-2, "vega": 1e-2}
+
+# The OptionSpec fields and the bound each is held to.
+OPTION_PARAMS = {"s0": POSITIVE, "strike": NONNEGATIVE, "sigma": POSITIVE,
+                 "rate": NONNEGATIVE, "expiry": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -59,16 +69,8 @@ class OptionSpec:
     expiry: float
 
     def __post_init__(self) -> None:
-        if self.s0 <= 0:
-            raise ValueError(f"s0 must be positive, got {self.s0}")
-        if self.strike < 0:
-            raise ValueError(f"strike must be nonnegative, got {self.strike}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.rate < 0:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
-        if self.expiry <= 0:
-            raise ValueError(f"expiry must be positive, got {self.expiry}")
+        for name, bound in OPTION_PARAMS.items():
+            check_param(name, getattr(self, name), bound)
 
     @property
     def scale_a(self) -> float:
@@ -101,25 +103,6 @@ class GreekReport:
 
 def _closed_form(mean: float, cfg: MCConfig, method: str) -> Estimate:
     return Estimate(mean, 0.0, cfg.n_paths, method, 0.0, ("closed-form",))
-
-
-def _wrap_values(values: np.ndarray, method: str, started: float,
-                 flags: tuple[str, ...] = (), mean: float | None = None) -> Estimate:
-    n = len(values)
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    wall = (time.perf_counter() - started) * 1e3
-    return Estimate(float(values.mean()) if mean is None else mean,
-                    stderr, n, method, wall, flags)
-
-
-def _base_ensemble(spec: OptionSpec, cfg: MCConfig,
-                   ensemble: Mapping[float, PathBatch] | None,
-                   nus: tuple[float, ...] = (0.0,)) -> Mapping[float, PathBatch]:
-    have = dict(ensemble) if ensemble else {}
-    missing = tuple(nu for nu in nus if nu not in have)
-    if missing:
-        have.update(sample_ensemble(spec.horizon, missing, cfg))
-    return have
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +162,138 @@ def vega_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
     printed variant and vega_weighted() for the indicator-free route.
     """
     a = spec.scale_a
+    return _vega_relation(spec, price_identity_values(spec, batch0),
+                          1.0 - tilted_cdf_values(batch0, a, 1.0), 1.0 - (batch0.integral <= a))
+
+
+def _vega_relation(spec: OptionSpec, pv: np.ndarray, surv1: np.ndarray,
+                   surv0: np.ndarray) -> np.ndarray:
+    """-(2/sigma) price + (2 s0/sigma) e^{-r tau} surv1 - (2 k/sigma) e^{-r tau} surv0."""
     sig = spec.sigma
-    pv = price_identity_values(spec, batch0)
-    surv1 = 1.0 - tilted_cdf_values(batch0, a, 1.0)
-    surv0 = 1.0 - (batch0.integral <= a)
     return (-2.0 / sig) * pv \
         + (2.0 * spec.s0 / sig) * spec.discount * surv1 \
         - (2.0 * spec.strike / sig) * spec.discount * surv0
+
+
+def _central(spec: OptionSpec, name: str, step: str,
+             paths: Callable[[OptionSpec], PathBatch]) -> tuple[np.ndarray, np.ndarray, float]:
+    """Naive prices with field ``name`` moved up and down by h, and h.
+
+    h = FD_REL_STEP[step] times the field; each moved spec is priced on
+    ``paths(moved_spec)``, so a moved horizon can be resampled.
+    """
+    x = getattr(spec, name)
+    h = FD_REL_STEP[step] * x
+    up, dn = (replace(spec, **{name: x + d}) for d in (h, -h))
+    return price_naive_values(up, paths(up)), price_naive_values(dn, paths(dn)), h
+
+
+def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray, g: np.ndarray,
+                      d_den: float = 1.0, g_den: float = 1.0):
+    """Theta r p - r s0 d - (sigma^2 s0 / 2) g per path, as (values, mean, flags).
+
+    ``d / d_den`` and ``g / g_den`` are the per-path delta and gamma; the
+    finite-difference theta passes its quotients' numerators and denominators
+    apart, which keeps the operation order, and so every bit, of its
+    influence.  The mean is the same combination of the three means.
+    """
+    r, s0, sig = spec.rate, spec.s0, spec.sigma
+    mean = (r * float(p.mean()) - r * s0 * float((d / d_den).mean())
+            - 0.5 * sig**2 * s0 * float((g / g_den).mean()))
+    return r * p - r * s0 * d / d_den - 0.5 * sig**2 * s0 * g / g_den, mean, ()
+
+
+def _delta_fd_values(ens, spec, **_) -> np.ndarray:
+    up, dn, h = _central(spec, "s0", "delta", lambda _: ens[0.0])
+    return (up - dn) / (2.0 * h)
+
+
+def _gamma_fd_values(ens, spec, **_) -> np.ndarray:
+    up, dn, h = _central(spec, "s0", "gamma", lambda _: ens[0.0])
+    return (up - 2.0 * price_naive_values(spec, ens[0.0]) + dn) / h**2
+
+
+def _theta_identity_values(ens, spec, **_):
+    batch0 = ens[0.0]
+    return _pricing_relation(spec, price_identity_values(spec, batch0),
+                             delta_identity_values(spec, batch0),
+                             gamma_identity_values(spec, batch0, ens[1.0]))
+
+
+def _theta_fd_values(ens, spec, **_):
+    pv = price_naive_values(spec, ens[0.0])
+    up_d, dn_d, h_d = _central(spec, "s0", "delta", lambda _: ens[0.0])
+    up_g, dn_g, h_g = _central(spec, "s0", "gamma", lambda _: ens[0.0])
+    return _pricing_relation(spec, pv, up_d - dn_d, up_g - 2.0 * pv + dn_g, 2.0 * h_d, h_g**2)
+
+
+def _vega_identity_values(ens, spec, **_):
+    batch0 = ens[0.0]
+    values = vega_identity_values(spec, batch0)
+    if not spec.rate > 0.0:
+        return values
+    undiscounted = float(values.mean()) + (2.0 * spec.strike / spec.sigma) \
+        * (1.0 - spec.discount) * float((1.0 - (batch0.integral <= spec.scale_a)).mean())
+    return values, None, (f"printed-form={undiscounted:.17g}",)
+
+
+def _vega_fd_values(ens, spec, cfg, **_) -> np.ndarray:
+    up, dn, h = _central(spec, "sigma", "vega", lambda s: sample_batch(s.horizon, 0.0, cfg))
+    return (up - dn) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# the option rows of the quantity table
+# ---------------------------------------------------------------------------
+
+
+class _Option(Quantity):
+    """A quantity whose public function takes one OptionSpec, valid by construction."""
+
+    defaults = {"s0": 1.0, "strike": 1.0, "sigma": 1.0, "rate": 0.0, "expiry": 1.0}
+    module = __name__
+
+    def arguments(self, point: Mapping[str, float]) -> dict:
+        return {"spec": OptionSpec(**point)}
+
+    def horizon(self, args: Mapping) -> float:
+        return args["spec"].horizon
+
+    def check(self, args: Mapping) -> None:
+        pass
+
+
+QUANTITIES.update(
+    price=_Option(OPTION_PARAMS, {
+        NAIVE: ((0.0,), lambda ens, spec, **_: price_naive_values(spec, ens[0.0])),
+        IDENTITY: ((0.0,), lambda ens, spec, **_: price_identity_values(spec, ens[0.0])),
+    }),
+    delta=_Option(OPTION_PARAMS, {
+        IDENTITY: ((0.0,), lambda ens, spec, **_: delta_identity_values(spec, ens[0.0])),
+        FD: ((0.0,), _delta_fd_values),
+    }),
+    gamma=_Option(OPTION_PARAMS, {
+        IDENTITY: ((0.0, 1.0),
+                   lambda ens, spec, **_: gamma_identity_values(spec, ens[0.0], ens[1.0])),
+        FD: ((0.0,), _gamma_fd_values),
+    }),
+    theta=_Option(OPTION_PARAMS, {
+        IDENTITY: ((0.0, 1.0), _theta_identity_values),
+        FD: ((0.0,), _theta_fd_values),
+    }),
+    vega=_Option(OPTION_PARAMS, {
+        IDENTITY: ((0.0,), _vega_identity_values),
+        FD: ((), _vega_fd_values),
+    }),
+)
+
+
+def _option_estimate(quantity: str, spec: OptionSpec, cfg: MCConfig, method: str,
+                     ensemble: Mapping[float, PathBatch] | None) -> Estimate:
+    if spec.strike == 0.0:
+        mean = {"price": spec.s0 * spec.discount, "delta": spec.discount}.get(quantity, 0.0)
+        return _closed_form(mean, cfg, method)
+    return _estimate(QUANTITIES[quantity], cfg, method, ensemble, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -196,52 +304,19 @@ def vega_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
 def price(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
           ensemble: Mapping[float, PathBatch] | None = None) -> Estimate:
     """Asian call price at the start of the averaging period."""
-    started = time.perf_counter()
-    if spec.strike == 0.0:
-        return _closed_form(spec.s0 * spec.discount, cfg, method)
-    if method == NAIVE:
-        batch = _base_ensemble(spec, cfg, ensemble)[0.0]
-        return _wrap_values(price_naive_values(spec, batch), NAIVE, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    batch = _base_ensemble(spec, cfg, ensemble)[0.0]
-    return _wrap_values(price_identity_values(spec, batch), IDENTITY, started)
+    return _option_estimate("price", spec, cfg, method, ensemble)
 
 
 def delta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
           ensemble: Mapping[float, PathBatch] | None = None) -> Estimate:
     """Sensitivity of the price to s0."""
-    started = time.perf_counter()
-    if spec.strike == 0.0:
-        return _closed_form(spec.discount, cfg, method)
-    batch = _base_ensemble(spec, cfg, ensemble)[0.0]
-    if method == FD:
-        h = FD_REL_STEP["delta"] * spec.s0
-        up = price_naive_values(_bump(spec, s0=spec.s0 + h), batch)
-        dn = price_naive_values(_bump(spec, s0=spec.s0 - h), batch)
-        return _wrap_values((up - dn) / (2.0 * h), FD, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    return _wrap_values(delta_identity_values(spec, batch), IDENTITY, started)
+    return _option_estimate("delta", spec, cfg, method, ensemble)
 
 
 def gamma(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
           ensemble: Mapping[float, PathBatch] | None = None) -> Estimate:
     """Second sensitivity to s0; proportional to the density of the integral."""
-    started = time.perf_counter()
-    if spec.strike == 0.0:
-        return _closed_form(0.0, cfg, method)
-    if method == FD:
-        batch = _base_ensemble(spec, cfg, ensemble)[0.0]
-        h = FD_REL_STEP["gamma"] * spec.s0
-        up = price_naive_values(_bump(spec, s0=spec.s0 + h), batch)
-        mid = price_naive_values(spec, batch)
-        dn = price_naive_values(_bump(spec, s0=spec.s0 - h), batch)
-        return _wrap_values((up - 2.0 * mid + dn) / h**2, FD, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    ens = _base_ensemble(spec, cfg, ensemble, nus=(0.0, 1.0))
-    return _wrap_values(gamma_identity_values(spec, ens[0.0], ens[1.0]), IDENTITY, started)
+    return _option_estimate("gamma", spec, cfg, method, ensemble)
 
 
 def theta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
@@ -256,38 +331,7 @@ def theta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
     (all from the same method and the same paths); the stderr comes from the
     per-path combined influence, so shared-path covariances are kept.
     """
-    started = time.perf_counter()
-    if spec.strike == 0.0:
-        return _closed_form(0.0, cfg, method)
-    r, s0, sig = spec.rate, spec.s0, spec.sigma
-    if method == FD:
-        batch = _base_ensemble(spec, cfg, ensemble)[0.0]
-        pv = price_naive_values(spec, batch)
-        dv = delta(spec, cfg, FD, ensemble={0.0: batch})
-        gv = gamma(spec, cfg, FD, ensemble={0.0: batch})
-        pe = _wrap_values(pv, FD, started)
-        mean = r * pe.mean - r * s0 * dv.mean - 0.5 * sig**2 * s0 * gv.mean
-        h_d = FD_REL_STEP["delta"] * s0
-        h_g = FD_REL_STEP["gamma"] * s0
-        infl = (
-            r * pv
-            - r * s0 * (price_naive_values(_bump(spec, s0=s0 + h_d), batch)
-                        - price_naive_values(_bump(spec, s0=s0 - h_d), batch)) / (2 * h_d)
-            - 0.5 * sig**2 * s0 * (price_naive_values(_bump(spec, s0=s0 + h_g), batch)
-                                   - 2 * pv
-                                   + price_naive_values(_bump(spec, s0=s0 - h_g), batch)) / h_g**2
-        )
-        return _wrap_values(infl, FD, started, mean=mean)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    ens = _base_ensemble(spec, cfg, ensemble, nus=(0.0, 1.0))
-    pv = price_identity_values(spec, ens[0.0])
-    dv = delta_identity_values(spec, ens[0.0])
-    gv = gamma_identity_values(spec, ens[0.0], ens[1.0])
-    mean = (r * float(pv.mean()) - r * s0 * float(dv.mean())
-            - 0.5 * sig**2 * s0 * float(gv.mean()))
-    return _wrap_values(r * pv - r * s0 * dv - 0.5 * sig**2 * s0 * gv,
-                        IDENTITY, started, mean=mean)
+    return _option_estimate("theta", spec, cfg, method, ensemble)
 
 
 def vega(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
@@ -302,26 +346,7 @@ def vega(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
     two differ (rate > 0).  The fully indicator-free route is
     :func:`vega_weighted`.
     """
-    started = time.perf_counter()
-    if spec.strike == 0.0:
-        return _closed_form(0.0, cfg, method)
-    if method == FD:
-        h = FD_REL_STEP["vega"] * spec.sigma
-        up_spec = _bump(spec, sigma=spec.sigma + h)
-        dn_spec = _bump(spec, sigma=spec.sigma - h)
-        up = price_naive_values(up_spec, sample_batch(up_spec.horizon, 0.0, cfg))
-        dn = price_naive_values(dn_spec, sample_batch(dn_spec.horizon, 0.0, cfg))
-        return _wrap_values((up - dn) / (2.0 * h), FD, started)
-    if method != IDENTITY:
-        raise ValueError(f"unknown method {method!r}")
-    batch0 = _base_ensemble(spec, cfg, ensemble)[0.0]
-    values = vega_identity_values(spec, batch0)
-    flags: tuple[str, ...] = ()
-    if spec.rate > 0.0:
-        undiscounted = float(values.mean()) + (2.0 * spec.strike / spec.sigma) \
-            * (1.0 - spec.discount) * float((1.0 - (batch0.integral <= spec.scale_a)).mean())
-        flags = (f"printed-form={undiscounted:.17g}",)
-    return _wrap_values(values, IDENTITY, started, flags)
+    return _option_estimate("vega", spec, cfg, method, ensemble)
 
 
 def vega_weighted(spec: OptionSpec, cfg: MCConfig, *,
@@ -337,15 +362,12 @@ def vega_weighted(spec: OptionSpec, cfg: MCConfig, *,
     started = time.perf_counter()
     if spec.strike == 0.0:
         return _closed_form(0.0, cfg, "identity-weighted")
-    a, sig = spec.scale_a, spec.sigma
-    ens = _base_ensemble(spec, cfg, ensemble, nus=(0.0, 1.0))
-    pv = price_identity_values(spec, ens[0.0])
-    surv1 = 1.0 - weighted_cdf_values(ens[1.0], a)
-    surv0 = 1.0 - weighted_cdf_values(ens[0.0], a)
-    values = (-2.0 / sig) * pv \
-        + (2.0 * spec.s0 / sig) * spec.discount * surv1 \
-        - (2.0 * spec.strike / sig) * spec.discount * surv0
-    return _wrap_values(values, "identity-weighted", started)
+    a = spec.scale_a
+    ens = _ensemble_for(spec.horizon, (0.0, 1.0), cfg, ensemble)
+    values = _vega_relation(spec, price_identity_values(spec, ens[0.0]),
+                            1.0 - weighted_cdf_values(ens[1.0], a),
+                            1.0 - weighted_cdf_values(ens[0.0], a))
+    return _wrap(values, "identity-weighted", started)
 
 
 def theta_fd_expiry(spec: OptionSpec, cfg: MCConfig) -> Estimate:
@@ -359,12 +381,8 @@ def theta_fd_expiry(spec: OptionSpec, cfg: MCConfig) -> Estimate:
     started = time.perf_counter()
     if spec.strike == 0.0:
         return _closed_form(0.0, cfg, FD)
-    h = FD_REL_STEP["theta"] * spec.expiry
-    up_spec = _bump(spec, expiry=spec.expiry + h)
-    dn_spec = _bump(spec, expiry=spec.expiry - h)
-    up = price_naive_values(up_spec, sample_batch(up_spec.horizon, 0.0, cfg))
-    dn = price_naive_values(dn_spec, sample_batch(dn_spec.horizon, 0.0, cfg))
-    return _wrap_values(-(up - dn) / (2.0 * h), FD, started)
+    up, dn, h = _central(spec, "expiry", "theta", lambda s: sample_batch(s.horizon, 0.0, cfg))
+    return _wrap(-(up - dn) / (2.0 * h), FD, started)
 
 
 def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
@@ -376,34 +394,17 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
     the pricing relation with those FD Greeks, all three on the shared
     ensemble, and vega in sigma.
     """
-    nus = (0.0, 1.0) if method == IDENTITY else (0.0,)
-    ens = sample_ensemble(spec.horizon, nus, cfg) if spec.strike > 0.0 else {}
-    kwargs = {"ensemble": ens} if ens else {}
+    sensitivities = {"delta": delta, "gamma": gamma, "theta": theta, "vega": vega}
+    price_method = NAIVE if method == NAIVE else IDENTITY
     greek_method = FD if method == NAIVE else method
-    report = GreekReport(
-        spec=spec,
-        method=method,
-        price=price(spec, cfg, NAIVE if method == NAIVE else IDENTITY, **kwargs),
-        delta=delta(spec, cfg, greek_method, **kwargs),
-        gamma=gamma(spec, cfg, greek_method, **kwargs),
-        theta=theta(spec, cfg, greek_method, **kwargs),
-        vega=vega(spec, cfg, greek_method, **kwargs),
-    )
+    methods = (greek_method, FD) if fd_check else (greek_method,)
+    args = {"spec": spec}
+    calls = [("price", price_method, args)] + [
+        (name, m, args) for name in sensitivities for m in methods]
+    ens = shared_ensemble(spec.horizon, cfg, calls) if spec.strike > 0.0 else {}
+    report = GreekReport(spec, method, price(spec, cfg, price_method, ensemble=ens), *(
+        fn(spec, cfg, greek_method, ensemble=ens) for fn in sensitivities.values()))
     if not fd_check:
         return report
-    checks = {
-        "delta": delta(spec, cfg, FD, **kwargs),
-        "gamma": gamma(spec, cfg, FD, **kwargs),
-        "theta": theta(spec, cfg, FD, **kwargs),
-        "vega": vega(spec, cfg, FD, **kwargs),
-    }
-    return GreekReport(spec=report.spec, method=report.method, price=report.price,
-                       delta=report.delta, gamma=report.gamma, theta=report.theta,
-                       vega=report.vega, fd_cross_checks=checks)
-
-
-def _bump(spec: OptionSpec, **changes: float) -> OptionSpec:
-    fields = {"s0": spec.s0, "strike": spec.strike, "sigma": spec.sigma,
-              "rate": spec.rate, "expiry": spec.expiry}
-    fields.update(changes)
-    return OptionSpec(**fields)
+    return replace(report, fd_cross_checks={
+        name: fn(spec, cfg, FD, ensemble=ens) for name, fn in sensitivities.items()})

@@ -31,9 +31,26 @@ DEFAULT_SEED = 42
 STEPS_PER_UNIT_TIME = 1024
 MIN_STEPS = 256
 
+# bounds for check_param; None means finite is enough
+POSITIVE = "positive"
+NONNEGATIVE = "nonnegative"
+
+
+def check_param(name: str, value: float, bound: str | None = None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and within ``bound``.
+
+    ``bound`` is ``"positive"``, ``"nonnegative"`` or None (finite is enough).
+    Every public entry point validates its real-valued inputs through here.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if bound == POSITIVE and value <= 0 or bound == NONNEGATIVE and value < 0:
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
 
 def default_steps(t: float) -> int:
     """Default grid size: 1024 steps per unit time, never fewer than 256."""
+    check_param("t", t)
     if t <= 0.0:
         return MIN_STEPS
     return max(MIN_STEPS, int(math.ceil(STEPS_PER_UNIT_TIME * t)))
@@ -100,8 +117,7 @@ class PathBatch:
 
 def _validate_drift(nu: float) -> float:
     nu = float(nu)
-    if not math.isfinite(nu):
-        raise ValueError(f"drift nu must be finite, got {nu}")
+    check_param("drift nu", nu)
     return nu
 
 
@@ -161,8 +177,7 @@ def sample_ensemble(
     -------
     dict mapping each requested nu to its PathBatch.
     """
-    if t < 0.0:
-        raise ValueError(f"time t must be nonnegative, got {t}")
+    check_param("time t", t, NONNEGATIVE)
     nus = tuple(dict.fromkeys(_validate_drift(nu) for nu in nus))
     if not nus:
         raise ValueError("at least one drift value is required")
@@ -205,8 +220,7 @@ def sample_batch(t: float, nu: float, cfg: MCConfig, threads: int | None = None)
 
 def sample_path(t: float, nu: float, cfg: MCConfig, path_index: int) -> PathSample:
     """Evaluate a single path, bit-identical to its row in :func:`sample_batch`."""
-    if t < 0.0:
-        raise ValueError(f"time t must be nonnegative, got {t}")
+    check_param("time t", t, NONNEGATIVE)
     nu = _validate_drift(nu)
     if not 0 <= path_index < cfg.n_paths:
         raise ValueError(f"path_index {path_index} outside [0, {cfg.n_paths})")

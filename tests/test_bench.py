@@ -8,6 +8,7 @@ import pytest
 import asianmc as am
 from asianmc import MCConfig
 from asianmc.bench import SweepSpec, quadrature_bias_report, run_sweep
+from asianmc.estimators import QUANTITIES
 
 
 def test_sweep_spec_validation():
@@ -23,6 +24,26 @@ def test_sweep_spec_validation():
         run_sweep(SweepSpec("joint_cdf", {"a": (1.0,)}, (10,), (1,), ("naive",)))
 
 
+SPEC = am.OptionSpec(1.0, 1.0, 1.0, 0.05, 1.0)
+# every quantity of the table: a one-point grid, and the direct library call
+# at that point
+DIRECT = {
+    "cdf": ({"a": (1.0,), "nu": (0.5,)}, lambda cfg, m: am.cdf(1.0, 1.0, 0.5, cfg, m)),
+    "density": ({"a": (1.0,)}, lambda cfg, m: am.density(1.0, 1.0, cfg, m)),
+    "joint_cdf": ({"b": (1.0,), "a": (1.0,)},
+                  lambda cfg, m: am.joint_cdf(1.0, 1.0, 1.0, cfg, m)),
+    "call_kernel": ({"a": (0.4,), "nu": (0.5,)},
+                    lambda cfg, m: am.call_kernel(0.4, 1.0, 0.5, cfg, m)),
+    "call_kernel_d1": ({"a": (1.0,)}, lambda cfg, m: am.call_kernel_d1(1.0, 1.0, cfg, m)),
+    "call_kernel_d2": ({"a": (1.0,)}, lambda cfg, m: am.call_kernel_d2(1.0, 1.0, cfg, m)),
+    "price": ({"rate": (0.05,)}, lambda cfg, m: am.price(SPEC, cfg, m)),
+    "delta": ({"rate": (0.05,)}, lambda cfg, m: am.delta(SPEC, cfg, m)),
+    "gamma": ({"rate": (0.05,)}, lambda cfg, m: am.gamma(SPEC, cfg, m)),
+    "theta": ({"rate": (0.05,)}, lambda cfg, m: am.theta(SPEC, cfg, m)),
+    "vega": ({"rate": (0.05,)}, lambda cfg, m: am.vega(SPEC, cfg, m)),
+}
+
+
 def test_single_point_sweep_matches_direct_calls():
     spec = SweepSpec("cdf", {"a": (1.0,), "t": (1.0,)}, (2_000,), (7,),
                      ("naive", "identity"))
@@ -33,6 +54,18 @@ def test_single_point_sweep_matches_direct_calls():
         direct = am.cdf(1.0, 1.0, 0.0, cfg, row.method)
         assert row.estimate.mean == direct.mean
         assert row.estimate.stderr == direct.stderr
+
+    # every (quantity, method) of the table, each group on one shared ensemble
+    assert set(DIRECT) == set(QUANTITIES)
+    cfg = MCConfig(1_500, 64, 7)
+    for quantity, (grids, direct_call) in DIRECT.items():
+        methods = tuple(QUANTITIES[quantity].methods)
+        rows = run_sweep(SweepSpec(quantity, grids, (1_500,), (7,), methods, n_steps=64)).rows
+        assert [r.method for r in rows] == sorted(methods)
+        for row in rows:
+            direct = direct_call(cfg, row.method)
+            assert (row.estimate.mean, row.estimate.stderr, row.estimate.flags) == \
+                (direct.mean, direct.stderr, direct.flags), (quantity, row.method)
 
 
 def test_rerun_is_bit_identical_and_thread_independent():
@@ -69,6 +102,13 @@ def test_error_rows_captured_not_raised():
     assert all(dict(r.point)["a"] == -1.0 for r in failed)
     assert all("positive" in r.error for r in failed)
     assert len(ok) == 2 and all(r.estimate is not None for r in ok)
+
+
+def test_nonfinite_grid_value_is_a_row_error():
+    spec = SweepSpec("cdf", {"a": (math.nan, 1.0)}, (64,), (1,), ("naive",), n_steps=8)
+    failed, ok = sorted(run_sweep(spec).rows, key=lambda r: r.error is None)
+    assert failed.error == "a must be finite, got nan" and failed.estimate is None
+    assert ok.error is None and ok.estimate is not None
 
 
 def test_greek_quantity_sweep():

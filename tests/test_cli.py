@@ -60,6 +60,50 @@ def test_domain_error_exit_two():
     assert "positive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("price", "--sigma", "inf"), "sigma must be finite"),
+    (("price", "--s0", "nan"), "s0 must be finite"),
+    (("greeks", "--expiry", "nan"), "expiry must be finite"),
+    (("cdf", "--a", "1", "--t", "inf"), "t must be finite"),
+    (("cdf", "--a", "1", "--t", "nan"), "t must be finite"),
+    (("cdf", "--a", "inf"), "a must be finite"),
+    (("joint", "--b", "inf", "--a", "1"), "b must be finite"),
+    (("kernel", "--a", "1", "--nu", "nan"), "nu must be finite"),
+    (("bias", "--t", "nan"), "t must be finite"),
+])
+def test_nonfinite_input_exits_two_naming_the_parameter(argv, message):
+    code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("price", "--method", "fd"), "--method fd"),
+    (("greeks", "--method", "fd"), "--method fd"),
+    (("kernel", "--a", "1", "--order", "1", "--nu", "2"), "--nu"),
+])
+def test_choice_the_quantity_does_not_take_exits_two(argv, option):
+    code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
+    assert code == 2 and out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--quantity", "cdf", "--grid", "a=0.5,1,2"),
+    ("cdf", "--a", "1", "--method", "both"),
+])
+def test_one_chunk_of_normals_per_command(argv, monkeypatch):
+    # every point and method of one command shares one ensemble: 64 paths
+    # are one chunk, so exactly one draw of normals
+    calls = []
+    draw = am.paths._chunk_normals
+    monkeypatch.setattr(am.paths, "_chunk_normals",
+                        lambda *a, **k: calls.append(a) or draw(*a, **k))
+    code, _, err = invoke(*argv, "--paths", "64", "--steps", "8")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # schema and values
 # ---------------------------------------------------------------------------
@@ -91,6 +135,30 @@ def test_kernel_both_methods_two_rows():
     assert out2 == out  # bit-identical rerun
 
 
+SPEC = am.OptionSpec(1.0, 1.0, 1.0, 0.05, 1.0)
+OPTION_ARGS = ("--s0", "1", "--strike", "1", "--sigma", "1", "--rate", "0.05", "--expiry", "1")
+# every single-quantity subcommand: its arguments, the direct library call
+# and the flags the CSV adds to the estimate's own
+ROUND_TRIPS = [
+    (("price", *OPTION_ARGS), lambda cfg, m: am.price(SPEC, cfg, m), {}),
+    (("cdf", "--a", "1", "--nu", "0"), lambda cfg, m: am.cdf(1.0, 1.0, 0.0, cfg, m), {}),
+    (("cdf", "--a", "1", "--nu", "1"), lambda cfg, m: am.cdf(1.0, 1.0, 1.0, cfg, m), {}),
+    (("density", "--a", "1"), lambda cfg, m: am.density(1.0, 1.0, cfg, m),
+     {"naive": ("h=0.050000000000000003",)}),
+    (("density", "--a", "1", "--bandwidth", "0.1"),
+     lambda cfg, m: am.density(1.0, 1.0, cfg, m, bandwidth=0.1),
+     {"naive": ("h=0.10000000000000001",)}),
+    (("joint", "--b", "1", "--a", "1"), lambda cfg, m: am.joint_cdf(1.0, 1.0, 1.0, cfg, m),
+     {"naive": ("b=1",), "identity": ("b=1",)}),
+    (("kernel", "--a", "0.4", "--order", "0", "--nu", "0.5"),
+     lambda cfg, m: am.call_kernel(0.4, 1.0, 0.5, cfg, m), {}),
+    (("kernel", "--a", "0.4", "--order", "1"),
+     lambda cfg, m: am.call_kernel_d1(0.4, 1.0, cfg, m), {}),
+    (("kernel", "--a", "0.4", "--order", "2"),
+     lambda cfg, m: am.call_kernel_d2(0.4, 1.0, cfg, m), {}),
+]
+
+
 def test_estimates_round_trip_to_library_values():
     code, out, _ = invoke("cdf", "--a", "1", "--t", "1", "--paths", "5000",
                           "--steps", "128", "--seed", "3", "--method", "identity")
@@ -98,6 +166,19 @@ def test_estimates_round_trip_to_library_values():
     direct = am.cdf(1.0, 1.0, 0.0, am.MCConfig(5000, 128, 3), "identity")
     assert float(rows[0]["estimate"]) == direct.mean
     assert float(rows[0]["stderr"]) == direct.stderr
+
+    # every single-quantity subcommand and method, bit for bit
+    cfg = am.MCConfig(1500, 64, 3)
+    for argv, direct_call, extra_flags in ROUND_TRIPS:
+        code, out, err = invoke(*argv, "--paths", "1500", "--steps", "64", "--seed", "3")
+        assert code == 0, err
+        rows = parse(out)
+        assert [r["method"] for r in rows] == ["naive", "identity"]
+        for row in rows:
+            direct = direct_call(cfg, row["method"])
+            flags = ";".join(direct.flags + extra_flags.get(row["method"], ()))
+            assert (float(row["estimate"]), float(row["stderr"]), row["flags"]) == \
+                (direct.mean, direct.stderr, flags), (argv, row["method"])
 
 
 def test_cdf_drift_tilt_flag_appears():

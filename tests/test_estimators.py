@@ -75,6 +75,26 @@ def test_domain_errors():
         am.density(1.0, 1.0, cfg, "naive", bandwidth=2.0)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("a", lambda cfg: am.cdf(math.inf, 1.0, 0.0, cfg)),
+    ("t", lambda cfg: am.cdf(1.0, math.nan, 0.0, cfg)),
+    ("nu", lambda cfg: am.cdf_weighted(1.0, 1.0, math.nan, cfg)),
+    ("t", lambda cfg: am.density(1.0, math.inf, cfg)),
+    ("b", lambda cfg: am.joint_cdf(math.inf, 1.0, 1.0, cfg)),
+    ("nu", lambda cfg: am.call_kernel(1.0, 1.0, math.inf, cfg, "identity")),
+    ("a", lambda cfg: am.call_kernel_d2(math.nan, 1.0, cfg)),
+    ("t", lambda cfg: TransformParams(1.0, math.inf)),
+    ("s0", lambda cfg: am.OptionSpec(math.nan, 1.0, 1.0, 0.0, 1.0)),
+    ("sigma", lambda cfg: am.OptionSpec(1.0, 1.0, math.inf, 0.0, 1.0)),
+    ("rate", lambda cfg: am.OptionSpec(1.0, 1.0, 1.0, math.nan, 1.0)),
+    ("t", lambda cfg: am.sample_batch(math.inf, 0.0, cfg)),
+    ("t", lambda cfg: am.default_steps(math.nan)),
+])
+def test_nonfinite_inputs_rejected_naming_the_parameter(name, call):
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        call(MCConfig(64, 8, 1))
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError, match="finite"):
         Estimate(float("inf"), 0.0, 10, "naive")
