@@ -10,16 +10,16 @@ Brownian paths.
 
 from __future__ import annotations
 
-import math
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import estimators, greeks  # greeks adds its rows to QUANTITIES
-from .estimators import QUANTITIES, Estimate, shared_ensemble, stable_exp_rate
-from .paths import NONNEGATIVE, PATHS_PER_CHUNK, MCConfig, _chunk_normals, check_param, default_steps
+from .estimators import QUANTITIES, Estimate, _wrap, shared_ensemble, stable_exp_rate
+from .paths import NONNEGATIVE, MCConfig, _simulate, check_param, default_steps
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,8 @@ class SweepResult:
                  if r.estimate is not None]
         if not means:
             raise ValueError("no rows matched")
-        arr = np.asarray(means)
-        se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        return float(arr.mean()), se
+        est = _wrap(np.asarray(means), "seed-mean", time.perf_counter())
+        return est.mean, est.stderr
 
 
 def _points(spec: SweepSpec) -> list[tuple[tuple[str, float], ...]]:
@@ -194,10 +193,12 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int],
 
     Every row restricts the same finest-grid Brownian paths to a coarser
     uniform grid, so the rows differ only by discretization, not by sampling
-    noise.  Each coarser step count must divide the finest.  At nu = 0 the
-    trapezoid estimate of the mean is exactly unbiased at every step count
-    (each grid sample has unit expectation), so gaps there show pure shared
-    Monte Carlo noise; drifted runs show the genuine O(dt^2) quadrature bias.
+    noise.  Each coarser step count must divide the finest, which replaces
+    ``cfg.n_steps``; each row's mean and stderr are an :class:`Estimate`'s.
+    At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
+    step count (each grid sample has unit expectation), so gaps there show
+    pure shared Monte Carlo noise; drifted runs show the genuine O(dt^2)
+    quadrature bias.
     """
     check_param("time t", t, NONNEGATIVE)
     check_param("drift nu", nu)
@@ -210,32 +211,10 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int],
     if any(finest % s for s in steps):
         raise ValueError("every step count must divide the finest one")
     target = stable_exp_rate(nu, t)
-    if t == 0.0:
-        return tuple(BiasRow(s, 0.0, 0.0, 0.0) for s in steps)
-
-    n = cfg.n_paths
-    sums = {s: 0.0 for s in steps}
-    sqsums = {s: 0.0 for s in steps}
-    dt_f = t / finest
-    grid = np.linspace(0.0, t, finest + 1)
-    n_chunks = (n + PATHS_PER_CHUNK - 1) // PATHS_PER_CHUNK
-    for c in range(n_chunks):
-        rows = min(PATHS_PER_CHUNK, n - c * PATHS_PER_CHUNK)
-        z = _chunk_normals(cfg.master_seed, c, finest, cfg.antithetic)[:rows]
-        b = np.empty((rows, finest + 1))
-        b[:, 0] = 0.0
-        np.cumsum(z * math.sqrt(dt_f), axis=1, out=b[:, 1:])
-        x = np.exp(b + (nu - 0.5) * grid)
-        for s in steps:
-            stride = finest // s
-            xs = x[:, ::stride]
-            dt = t / s
-            integ = dt * (xs.sum(axis=1) - 0.5 * xs[:, 0] - 0.5 * xs[:, -1])
-            sums[s] += float(integ.sum())
-            sqsums[s] += float((integ**2).sum())
+    started = time.perf_counter()
+    grids = _simulate(((t, nu, finest // s) for s in steps), replace(cfg, n_steps=finest))
     out = []
     for s in steps:
-        mean = sums[s] / n
-        var = max(sqsums[s] / n - mean * mean, 0.0) * n / max(n - 1, 1)
-        out.append(BiasRow(s, mean, math.sqrt(var / n), abs(mean - target)))
+        est = _wrap(grids[t, nu, finest // s][1], "nested", started)
+        out.append(BiasRow(s, est.mean, est.stderr, abs(est.mean - target)))
     return tuple(out)

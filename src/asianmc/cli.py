@@ -52,16 +52,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row(quantity: str, method: str, est: Estimate, params: Mapping, n_paths: int,
+def _row(quantity: str, method: str, est: Estimate | None, params: Mapping, n_paths: int,
          n_steps: int | str, seed: int, flags: Sequence[str] = ()) -> list[str]:
     """One CSV row; the parameter columns are read from ``params`` by name,
-    and a ``b`` parameter, which has no column, leads the flags."""
+    and a ``b`` parameter, which has no column, leads the flags.  Without an
+    estimate (a failed sweep cell) the estimate and stderr fields stay empty."""
     if "b" in params:
         flags = (f"b={params['b']:.17g}",) + tuple(flags)
+    mean = stderr = None
+    if est is not None:
+        mean, stderr, flags = est.mean, est.stderr, tuple(est.flags) + tuple(flags)
     return [
         quantity, method, *(_fmt(params.get(name)) for name in CSV_HEADER[2:10]),
         _fmt(n_paths), _fmt(n_steps), _fmt(seed),
-        _fmt(est.mean), _fmt(est.stderr), "", ";".join(tuple(est.flags) + tuple(flags)),
+        _fmt(mean), _fmt(stderr), "", ";".join(flags),
     ]
 
 
@@ -230,20 +234,23 @@ def _run_greeks(args) -> list[list[str]]:
             for name, est in ests]
 
 
+def _parse_list(option: str, text: str, kind: type) -> tuple:
+    """The comma-separated values of ``option``, each converted by ``kind``."""
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated {kind.__name__} values, "
+                         f"got {text!r}") from None
+
+
 def _parse_grid(items: list[str]) -> dict[str, tuple[float, ...]]:
     grids: dict[str, tuple[float, ...]] = {}
     for item in items:
         name, _, values = item.partition("=")
         if not values:
             raise ValueError(f"grid {item!r} is not of the form name=v1,v2,...")
-        grids[name.strip()] = tuple(float(v) for v in values.split(","))
+        grids[name.strip()] = _parse_list(f"--grid {name.strip()}", values, float)
     return grids
-
-
-def _parse_int_list(text: str | None, fallback: int) -> tuple[int, ...]:
-    if text is None:
-        return (fallback,)
-    return tuple(int(v) for v in text.split(","))
 
 
 def _run_sweep(args) -> list[list[str]]:
@@ -251,8 +258,9 @@ def _run_sweep(args) -> list[list[str]]:
     spec = bench.SweepSpec(
         quantity=args.quantity,
         grids=_parse_grid(args.grid),
-        n_paths=_parse_int_list(args.paths_grid, args.paths),
-        seeds=_parse_int_list(args.seeds, args.seed),
+        n_paths=(args.paths,) if args.paths_grid is None
+        else _parse_list("--paths-grid", args.paths_grid, int),
+        seeds=(args.seed,) if args.seeds is None else _parse_list("--seeds", args.seeds, int),
         methods=tuple(q.methods) if args.method == "both" else (args.method,),
         n_steps=args.steps,
         antithetic=args.antithetic,
@@ -261,17 +269,16 @@ def _run_sweep(args) -> list[list[str]]:
     for row in bench.run_sweep(spec, threads=args.threads).rows:
         pt = dict(row.point)
         if row.error is None:
-            est, flags = row.estimate, ()
-            steps = spec.n_steps or default_steps(q.horizon(q.arguments(pt)))
+            flags, steps = (), spec.n_steps or default_steps(q.horizon(q.arguments(pt)))
         else:
-            est, flags = Estimate(0.0, 0.0, row.n_paths, row.method), (f"error={row.error}",)
-            steps = spec.n_steps or ""
-        rows.append(_row(args.quantity, row.method, est, pt, row.n_paths, steps, row.seed, flags))
+            flags, steps = (f"error={row.error}",), spec.n_steps or ""
+        rows.append(_row(args.quantity, row.method, row.estimate, pt, row.n_paths, steps,
+                         row.seed, flags))
     return rows
 
 
 def _run_bias(args) -> list[list[str]]:
-    steps = tuple(int(v) for v in args.steps_grid.split(","))
+    steps = _parse_list("--steps-grid", args.steps_grid, int)
     cfg = MCConfig(n_paths=args.paths, n_steps=max(steps), master_seed=args.seed,
                    antithetic=args.antithetic)
     report = bench.quadrature_bias_report(args.t, args.nu, steps, cfg)

@@ -101,9 +101,15 @@ def _ensemble_for(
 
     Chunk keys depend only on (master_seed, chunk, n_steps), so batches
     simulated in separate calls with equal cfg still share their underlying
-    increments; passing an ensemble is purely an optimization.
+    increments; passing an ensemble is purely an optimization, and a supplied
+    batch the call reads must have been drawn at its horizon with its cfg.
     """
     have = dict(ensemble) if ensemble else {}
+    for nu in nus:
+        batch = have.get(nu)
+        if batch is not None and (batch.t != t or batch.cfg != cfg):
+            raise ValueError(f"the supplied drift-{nu} batch was drawn at t={batch.t} with "
+                             f"{batch.cfg}, but the call is at t={t} with {cfg}")
     missing = tuple(nu for nu in nus if nu not in have)
     if missing:
         have.update(sample_ensemble(t, missing, cfg))
@@ -113,10 +119,14 @@ def _ensemble_for(
 def _wrap(values: np.ndarray, method: str, started: float,
           flags: tuple[str, ...] = (), mean: float | None = None) -> Estimate:
     n = len(values)
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    m = values.mean()
+    stderr = 0.0
+    if n > 1:
+        dev = values - m
+        np.square(dev, out=dev)
+        stderr = math.sqrt(float(dev.sum()) / (n - 1)) / math.sqrt(n)
     wall = (time.perf_counter() - started) * 1e3
-    return Estimate(float(values.mean()) if mean is None else mean,
-                    stderr, n, method, wall, flags)
+    return Estimate(float(m) if mean is None else mean, stderr, n, method, wall, flags)
 
 
 def stable_exp_rate(nu: float, t: float) -> float:

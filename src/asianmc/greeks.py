@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .estimators import (
     tilted_cdf_values,
     weighted_cdf_values,
 )
-from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_param, sample_batch
+from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _simulate, check_param
 
 FD = "fd"
 
@@ -175,17 +175,24 @@ def _vega_relation(spec: OptionSpec, pv: np.ndarray, surv1: np.ndarray,
         - (2.0 * spec.strike / sig) * spec.discount * surv0
 
 
-def _central(spec: OptionSpec, name: str, step: str,
-             paths: Callable[[OptionSpec], PathBatch]) -> tuple[np.ndarray, np.ndarray, float]:
+def _central(spec: OptionSpec, name: str, step: str, batch: PathBatch | None = None,
+             cfg: MCConfig | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Naive prices with field ``name`` moved up and down by h, and h.
 
-    h = FD_REL_STEP[step] times the field; each moved spec is priced on
-    ``paths(moved_spec)``, so a moved horizon can be resampled.
+    h = FD_REL_STEP[step] times the field.  Both moved specs are priced on
+    ``batch``; without one, the move shifts the horizon, and each moved spec
+    is priced on driftless paths at its own horizon, both horizons read from
+    one draw of ``cfg``'s normals.
     """
     x = getattr(spec, name)
     h = FD_REL_STEP[step] * x
     up, dn = (replace(spec, **{name: x + d}) for d in (h, -h))
-    return price_naive_values(up, paths(up)), price_naive_values(dn, paths(dn)), h
+    if batch is None:
+        grids = _simulate(((s.horizon, 0.0, 1) for s in (up, dn)), cfg)
+        up_b, dn_b = (PathBatch(s.horizon, 0.0, *grids[s.horizon, 0.0, 1], cfg) for s in (up, dn))
+    else:
+        up_b = dn_b = batch
+    return price_naive_values(up, up_b), price_naive_values(dn, dn_b), h
 
 
 def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray, g: np.ndarray,
@@ -204,12 +211,12 @@ def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray, g: np.ndar
 
 
 def _delta_fd_values(ens, spec, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "s0", "delta", lambda _: ens[0.0])
+    up, dn, h = _central(spec, "s0", "delta", ens[0.0])
     return (up - dn) / (2.0 * h)
 
 
 def _gamma_fd_values(ens, spec, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "s0", "gamma", lambda _: ens[0.0])
+    up, dn, h = _central(spec, "s0", "gamma", ens[0.0])
     return (up - 2.0 * price_naive_values(spec, ens[0.0]) + dn) / h**2
 
 
@@ -222,8 +229,8 @@ def _theta_identity_values(ens, spec, **_):
 
 def _theta_fd_values(ens, spec, **_):
     pv = price_naive_values(spec, ens[0.0])
-    up_d, dn_d, h_d = _central(spec, "s0", "delta", lambda _: ens[0.0])
-    up_g, dn_g, h_g = _central(spec, "s0", "gamma", lambda _: ens[0.0])
+    up_d, dn_d, h_d = _central(spec, "s0", "delta", ens[0.0])
+    up_g, dn_g, h_g = _central(spec, "s0", "gamma", ens[0.0])
     return _pricing_relation(spec, pv, up_d - dn_d, up_g - 2.0 * pv + dn_g, 2.0 * h_d, h_g**2)
 
 
@@ -238,7 +245,7 @@ def _vega_identity_values(ens, spec, **_):
 
 
 def _vega_fd_values(ens, spec, cfg, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "sigma", "vega", lambda s: sample_batch(s.horizon, 0.0, cfg))
+    up, dn, h = _central(spec, "sigma", "vega", cfg=cfg)
     return (up - dn) / (2.0 * h)
 
 
@@ -376,12 +383,12 @@ def theta_fd_expiry(spec: OptionSpec, cfg: MCConfig) -> Estimate:
     Time decay oracle: -(price(tau+h) - price(tau-h)) / (2h), h = 0.05 tau.
     This is a different quantity from the pricing-relation :func:`theta`.
     Both shifted horizons reuse the same increments and step count as the
-    base configuration.
+    base configuration, read from one draw of normals.
     """
     started = time.perf_counter()
     if spec.strike == 0.0:
         return _closed_form(0.0, cfg, FD)
-    up, dn, h = _central(spec, "expiry", "theta", lambda s: sample_batch(s.horizon, 0.0, cfg))
+    up, dn, h = _central(spec, "expiry", "theta", cfg=cfg)
     return _wrap(-(up - dn) / (2.0 * h), FD, started)
 
 

@@ -13,7 +13,12 @@ pure function of ``(master_seed, n_steps, i)``.  Paths are generated in fixed
 chunks of :data:`PATHS_PER_CHUNK`, each chunk keyed by a counter-based
 derivation from the master seed, so serial, chunked and threaded runs agree
 bit for bit and path ``i`` never depends on how many other paths were asked
-for.
+for.  Every horizon, drift and nested grid read in one call comes from the
+same normals, drawn once per chunk: a horizon t rescales them to variance
+t / n_steps, a drift multiplies that horizon's grid by exp(nu s), and a
+nested grid is the trapezoid over every k-th point of it.  So the values at
+one (t, nu) are bit for bit those of a separate call at that (t, nu), with
+whatever other horizons, drifts or grids are read beside them.
 """
 
 from __future__ import annotations
@@ -136,21 +141,65 @@ def _chunk_normals(master_seed: int, chunk_index: int, n_steps: int, antithetic:
 
 
 def _functionals_from_normals(
-    z: np.ndarray, t: float, nus: Sequence[float]
-) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate (terminal, integral) for each drift from one block of normals."""
+    z: np.ndarray, keys: Sequence[tuple[float, float, int]]
+) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
+    """(terminal, integral) for each (t, nu, k) key from one block of normals.
+
+    Horizon t scales the increments to variance dt = t / n_steps; drift nu
+    multiplies that horizon's grid by exp(nu s); stride k takes the trapezoid
+    over every k-th grid point, which needs k to divide n_steps.  Each
+    (t, nu) grid is built once, and each horizon's grids are released before
+    the next horizon's are built.
+    """
+    plan: dict[float, dict[float, set[int]]] = {}
+    for t, nu, k in keys:
+        plan.setdefault(t, {}).setdefault(nu, set()).add(k)
     n_steps = z.shape[1]
-    dt = t / n_steps
-    s = np.linspace(0.0, t, n_steps + 1)
-    b = np.empty((z.shape[0], n_steps + 1))
-    b[:, 0] = 0.0
-    np.cumsum(z * math.sqrt(dt), axis=1, out=b[:, 1:])
-    x0 = np.exp(b - 0.5 * s)
     out = {}
-    for nu in nus:
-        x = x0 if nu == 0.0 else x0 * np.exp(nu * s)
-        integral = dt * (x.sum(axis=1) - 0.5 * x[:, 0] - 0.5 * x[:, -1])
-        out[nu] = (np.ascontiguousarray(x[:, -1]), integral)
+    for t, drifts in plan.items():
+        s = np.linspace(0.0, t, n_steps + 1)
+        x0 = np.empty((z.shape[0], n_steps + 1))
+        x0[:, 0] = 0.0
+        np.cumsum(z * math.sqrt(t / n_steps), axis=1, out=x0[:, 1:])
+        np.exp(x0 - 0.5 * s, out=x0)
+        for nu, strides in drifts.items():
+            x = x0 if nu == 0.0 else x0 * np.exp(nu * s)
+            for k in strides:
+                xs = x[:, ::k]
+                dt_k = t / (n_steps // k)
+                integral = dt_k * (xs.sum(axis=1) - 0.5 * xs[:, 0] - 0.5 * xs[:, -1])
+                out[t, nu, k] = (np.ascontiguousarray(xs[:, -1]), integral)
+        del x0, x, xs  # no view may keep this horizon's grid alive into the next
+    return out
+
+
+def _simulate(
+    keys: Iterable[tuple[float, float, int]], cfg: MCConfig, threads: int | None = None
+) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
+    """(terminal, integral) arrays of cfg.n_paths paths for each (t, nu, k) key.
+
+    The one chunk loop: each chunk's normals are drawn once and every key is
+    read from them (see :func:`_functionals_from_normals`).  Chunks may be
+    evaluated concurrently; each writes its own rows of the results.
+    """
+    keys = tuple(dict.fromkeys(keys))
+    n = cfg.n_paths
+    out = {key: (np.empty(n), np.empty(n)) for key in keys}
+
+    def run_chunk(c: int) -> None:
+        lo = c * PATHS_PER_CHUNK
+        z = _chunk_normals(cfg.master_seed, c, cfg.n_steps, cfg.antithetic)[:n - lo]
+        for key, (tv, iv) in _functionals_from_normals(z, keys).items():
+            out[key][0][lo:lo + len(tv)] = tv
+            out[key][1][lo:lo + len(iv)] = iv
+
+    n_chunks = (n + PATHS_PER_CHUNK - 1) // PATHS_PER_CHUNK
+    if threads is not None and threads > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_chunk, range(n_chunks)))
+    else:
+        for c in range(n_chunks):
+            run_chunk(c)
     return out
 
 
@@ -181,36 +230,8 @@ def sample_ensemble(
     nus = tuple(dict.fromkeys(_validate_drift(nu) for nu in nus))
     if not nus:
         raise ValueError("at least one drift value is required")
-
-    n = cfg.n_paths
-    if t == 0.0:
-        return {
-            nu: PathBatch(t, nu, np.ones(n), np.zeros(n), cfg)
-            for nu in nus
-        }
-
-    term = {nu: np.empty(n) for nu in nus}
-    integ = {nu: np.empty(n) for nu in nus}
-    n_chunks = (n + PATHS_PER_CHUNK - 1) // PATHS_PER_CHUNK
-
-    def run_chunk(c: int) -> tuple[int, dict]:
-        lo = c * PATHS_PER_CHUNK
-        rows = min(PATHS_PER_CHUNK, n - lo)
-        z = _chunk_normals(cfg.master_seed, c, cfg.n_steps, cfg.antithetic)[:rows]
-        return lo, _functionals_from_normals(z, t, nus)
-
-    if threads is not None and threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = [run_chunk(c) for c in range(n_chunks)]
-
-    for lo, vals in results:
-        for nu in nus:
-            tv, iv = vals[nu]
-            term[nu][lo:lo + len(tv)] = tv
-            integ[nu][lo:lo + len(iv)] = iv
-    return {nu: PathBatch(t, nu, term[nu], integ[nu], cfg) for nu in nus}
+    out = _simulate(((t, nu, 1) for nu in nus), cfg, threads)
+    return {nu: PathBatch(t, nu, *out[t, nu, 1], cfg) for nu in nus}
 
 
 def sample_batch(t: float, nu: float, cfg: MCConfig, threads: int | None = None) -> PathBatch:
@@ -224,9 +245,7 @@ def sample_path(t: float, nu: float, cfg: MCConfig, path_index: int) -> PathSamp
     nu = _validate_drift(nu)
     if not 0 <= path_index < cfg.n_paths:
         raise ValueError(f"path_index {path_index} outside [0, {cfg.n_paths})")
-    if t == 0.0:
-        return PathSample(1.0, 0.0)
     chunk, row = divmod(path_index, PATHS_PER_CHUNK)
     z = _chunk_normals(cfg.master_seed, chunk, cfg.n_steps, cfg.antithetic)[row:row + 1]
-    tv, iv = _functionals_from_normals(z, t, (nu,))[nu]
+    tv, iv = _functionals_from_normals(z, ((t, nu, 1),))[t, nu, 1]
     return PathSample(float(tv[0]), float(iv[0]))

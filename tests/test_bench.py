@@ -173,3 +173,5 @@ def test_bias_rows_match_plain_batch_at_finest_grid():
     rows = quadrature_bias_report(1.0, 0.0, (256,), cfg)
     batch = am.sample_batch(1.0, 0.0, cfg)
     assert rows[0].mean_integral == pytest.approx(float(batch.integral.mean()), rel=1e-12)
+    plain_se = float(batch.integral.std(ddof=1)) / math.sqrt(cfg.n_paths)
+    assert rows[0].stderr == pytest.approx(plain_se, rel=1e-12)

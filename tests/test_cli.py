@@ -88,20 +88,23 @@ def test_choice_the_quantity_does_not_take_exits_two(argv, option):
     assert option in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("sweep", "--quantity", "cdf", "--grid", "a=0.5,1,2"),
-    ("cdf", "--a", "1", "--method", "both"),
-])
-def test_one_chunk_of_normals_per_command(argv, monkeypatch):
+@pytest.mark.parametrize("argv, chunks", [
+    (("sweep", "--quantity", "cdf", "--grid", "a=0.5,1,2"), 1),
+    (("cdf", "--a", "1", "--method", "both"), 1),
+    (("greeks", "--fd-check"), 2),
+    (("bias", "--steps-grid", "4,8"), 1),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_one_chunk_of_normals_per_command(argv, chunks, monkeypatch):
     # every point and method of one command shares one ensemble: 64 paths
-    # are one chunk, so exactly one draw of normals
+    # are one chunk, so one draw of normals; greeks --fd-check draws a
+    # second, from which the FD vega reads both of its bumped horizons
     calls = []
     draw = am.paths._chunk_normals
     monkeypatch.setattr(am.paths, "_chunk_normals",
                         lambda *a, **k: calls.append(a) or draw(*a, **k))
     code, _, err = invoke(*argv, "--paths", "64", "--steps", "8")
     assert code == 0, err
-    assert len(calls) == 1
+    assert len(calls) == chunks
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +236,31 @@ def test_sweep_rows_and_determinism():
     assert out == out2
 
 
-def test_sweep_bad_grid_is_domain_error():
-    code, _, err = invoke("sweep", "--quantity", "cdf", "--grid", "nonsense")
-    assert code == 2
+@pytest.mark.parametrize("argv, option", [
+    (("sweep", "--quantity", "cdf", "--grid", "nonsense"), "grid 'nonsense'"),
+    (("bias", "--steps-grid", "16,x"), "--steps-grid"),
+    (("sweep", "--quantity", "cdf", "--grid", "a=1,x"), "--grid a"),
+    (("sweep", "--quantity", "cdf", "--grid", "a=1", "--seeds", "1,x"), "--seeds"),
+    (("sweep", "--quantity", "cdf", "--grid", "a=1", "--paths-grid", "64,y"), "--paths-grid"),
+], ids=["nonsense", "steps-grid", "grid", "seeds", "paths-grid"])
+def test_sweep_bad_grid_is_domain_error(argv, option):
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert option in err
+
+
+def test_sweep_error_rows_leave_estimate_and_stderr_empty():
+    code, out, err = invoke("sweep", "--quantity", "cdf", "--grid", "a=-1,1",
+                            "--paths", "64", "--steps", "8")
+    assert code == 0, err
+    rows = parse(out)
+    assert len(rows) == 4
+    for r in rows:
+        failed = r["a"] == "-1"
+        assert ("error=a must be positive" in r["flags"]) == failed
+        assert (r["estimate"] == "" and r["stderr"] == "") == failed
+        if not failed:
+            assert 0.0 <= float(r["estimate"]) <= 2.0 and float(r["stderr"]) >= 0.0
 
 
 def test_out_file_matches_stdout(tmp_path):

@@ -95,6 +95,17 @@ def test_nonfinite_inputs_rejected_naming_the_parameter(name, call):
         call(MCConfig(64, 8, 1))
 
 
+def test_supplied_ensemble_must_match_the_call_horizon_and_cfg():
+    cfg = MCConfig(2000, 64, 1)
+    ens = am.sample_ensemble(1.0, (0.0,), cfg)
+    with pytest.raises(ValueError, match=r"drawn at t=1\.0 .* call is at t=4\.0"):
+        am.cdf(1.0, 4.0, 0.0, cfg, "naive", ensemble=ens)
+    with pytest.raises(ValueError, match="n_paths=2000.*n_paths=500"):
+        am.cdf(1.0, 1.0, 0.0, MCConfig(500, 64, 1), "naive", ensemble=ens)
+    # a batch the call does not read is not checked
+    assert am.cdf(1.0, 4.0, 1.0, cfg, "naive", ensemble=ens).n_paths == 2000
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError, match="finite"):
         Estimate(float("inf"), 0.0, 10, "naive")

@@ -1,13 +1,14 @@
 """Asian call price and Greeks: closed forms, exact relations, FD oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import asianmc as am
 from asianmc import MCConfig, OptionSpec
-from asianmc.greeks import FD, theta_fd_expiry
+from asianmc.greeks import FD, FD_REL_STEP, _central, price_naive_values, theta_fd_expiry
 
 FIG_CONFIG = OptionSpec(s0=1.0, strike=1.0, sigma=1.0, rate=0.0, expiry=1.0)
 
@@ -182,6 +183,29 @@ def test_pricing_relation_theta_differs_from_time_decay():
     th_decay = theta_fd_expiry(FIG_CONFIG, cfg)
     assert abs(th_relation.mean - th_decay.mean) > 10 * comb_se(th_relation, th_decay)
     assert th_relation.mean < th_decay.mean < 0.0
+
+
+def test_fd_vega_bumped_prices_equal_fresh_draws_at_each_horizon():
+    # both bumped horizons are read from one draw of normals; each must equal
+    # a separate draw at that horizon, bit for bit (1500 paths: two chunks)
+    spec = OptionSpec(s0=1.0, strike=1.1, sigma=0.8, rate=0.02, expiry=1.5)
+    cfg = MCConfig(1_500, 64, 3)
+    up, dn, h = _central(spec, "sigma", "vega", cfg=cfg)
+    assert h == FD_REL_STEP["vega"] * spec.sigma
+    for values, sigma in ((up, spec.sigma + h), (dn, spec.sigma - h)):
+        moved = replace(spec, sigma=sigma)
+        fresh = price_naive_values(moved, am.sample_batch(moved.horizon, 0.0, cfg))
+        np.testing.assert_array_equal(values, fresh)
+
+
+def test_theta_fd_expiry_draws_one_chunk_for_both_horizons(monkeypatch):
+    calls = []
+    draw = am.paths._chunk_normals
+    monkeypatch.setattr(am.paths, "_chunk_normals",
+                        lambda *a, **k: calls.append(a) or draw(*a, **k))
+    est = theta_fd_expiry(FIG_CONFIG, MCConfig(64, 8, 1))
+    assert math.isfinite(est.mean)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

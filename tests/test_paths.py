@@ -1,12 +1,15 @@
 """Path simulation: determinism, degenerate cases, antithetic pairing, moments."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asianmc
 from asianmc import MCConfig, PathSample, default_steps, sample_batch, sample_ensemble, sample_path
 
 CFG = MCConfig(n_paths=2048, n_steps=64, master_seed=42)
@@ -154,3 +157,37 @@ def test_default_steps_rule():
     assert default_steps(2.0) == 2048
     assert default_steps(0.1) == 256
     assert default_steps(0.0) == 256
+
+
+# ---------------------------------------------------------------------------
+# one path core
+# ---------------------------------------------------------------------------
+
+
+def test_only_paths_draws_normals():
+    # every other module reads paths through the public samplers or the
+    # private keyed core, never through the raw per-chunk normals
+    users = set()
+    for source in Path(asianmc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) \
+                or getattr(node, "name", None)
+            if name == "_chunk_normals":
+                users.add(source.stem)
+    assert users == {"paths"}
+
+
+def test_horizons_drifts_and_strides_share_one_draw():
+    keys = [(1.0, 0.0, 1), (1.0, 1.0, 1), (1.2, 0.0, 1), (1.0, 1.0, 64)]
+    keys += [(0.0, nu, k) for nu in (0.0, 2.5, -1.0) for k in (1, 4)]
+    out = asianmc.paths._simulate(keys, CFG)
+    for t, nu in ((1.0, 0.0), (1.0, 1.0), (1.2, 0.0)):
+        batch = sample_batch(t, nu, CFG)
+        np.testing.assert_array_equal(out[t, nu, 1][0], batch.terminal)
+        np.testing.assert_array_equal(out[t, nu, 1][1], batch.integral)
+    # stride n_steps keeps the two end points: one trapezoid t (1 + X_t) / 2
+    terminal, integral = out[1.0, 1.0, 64]
+    np.testing.assert_array_equal(terminal, out[1.0, 1.0, 1][0])
+    np.testing.assert_allclose(integral, 0.5 * (1.0 + terminal), rtol=1e-15)
+    for key in keys[4:]:
+        assert np.all(out[key][0] == 1.0) and np.all(out[key][1] == 0.0)
