@@ -102,7 +102,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--antithetic", action="store_true", default=False,
                    help="pair path 2k+1 with the negated increments of path 2k")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads; results do not depend on this")
+                   help="worker threads for sweep groups (other commands run serially); "
+                        "results do not depend on this")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output file (default: standard output)")
     p.add_argument("--format", choices=("csv", "pretty"), default="csv",

@@ -34,11 +34,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_param, sample_ensemble
+from .paths import (NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _simulate, check_param,
+                    sample_ensemble)
 
 NAIVE = "naive"
 IDENTITY = "identity"
@@ -94,25 +95,36 @@ class TransformParams:
 
 
 def _ensemble_for(
-    t: float, nus: tuple[float, ...], cfg: MCConfig,
-    ensemble: Mapping[float, PathBatch] | None,
-) -> Mapping[float, PathBatch]:
-    """Reuse supplied batches where possible, simulate the rest.
+    t: float, keys: Sequence[tuple[float, float]], cfg: MCConfig,
+    ensemble: Mapping | None,
+) -> dict[tuple[float, float], PathBatch]:
+    """The batch at each (horizon, drift) key of a call at horizon ``t``,
+    keyed by that pair: supplied batches where possible, the rest drawn in
+    one call of the path core.
 
     Chunk keys depend only on (master_seed, chunk, n_steps), so batches
     simulated in separate calls with equal cfg still share their underlying
-    increments; passing an ensemble is purely an optimization, and a supplied
-    batch the call reads must have been drawn at its horizon with its cfg.
+    increments; passing an ensemble is purely an optimization.  Its batches
+    are looked up by their own (t, nu), so it may be the drift-keyed mapping
+    of :func:`~asianmc.paths.sample_ensemble` or the (t, nu)-keyed one of
+    :func:`shared_ensemble`.  A supplied batch the call reads must have been
+    drawn with its cfg, and a drift the call reads at ``t`` must not be
+    supplied only at other horizons; any other key the ensemble lacks is
+    drawn.
     """
-    have = dict(ensemble) if ensemble else {}
-    for nu in nus:
-        batch = have.get(nu)
-        if batch is not None and (batch.t != t or batch.cfg != cfg):
-            raise ValueError(f"the supplied drift-{nu} batch was drawn at t={batch.t} with "
-                             f"{batch.cfg}, but the call is at t={t} with {cfg}")
-    missing = tuple(nu for nu in nus if nu not in have)
-    if missing:
-        have.update(sample_ensemble(t, missing, cfg))
+    have = {(b.t, b.nu): b for b in ensemble.values()} if ensemble else {}
+    for b in have.values():
+        if ((b.t, b.nu) in keys and b.cfg != cfg
+                or (t, b.nu) in keys and (t, b.nu) not in have):
+            raise ValueError(f"the supplied drift-{b.nu} batch was drawn at t={b.t} with "
+                             f"{b.cfg}, but the call is at t={t} with {cfg}")
+    missing = [key for key in keys if key not in have]
+    if len({h for h, _ in missing}) == 1:  # the public sampler checks t and the drifts
+        drawn = sample_ensemble(missing[0][0], [nu for _, nu in missing], cfg).values()
+        have.update(((b.t, b.nu), b) for b in drawn)
+    elif missing:
+        grids = _simulate(((h, nu, 1) for h, nu in missing), cfg)
+        have.update(((h, nu), PathBatch(h, nu, *grids[h, nu, 1], cfg)) for h, nu in missing)
     return have
 
 
@@ -303,15 +315,15 @@ def _fd_bandwidth(a: float, bandwidth: float | None) -> float:
     return h
 
 
-def _density_naive_values(ens, a, bandwidth=None, **_) -> np.ndarray:
+def _density_naive_values(ens, a, t, bandwidth=None, **_) -> np.ndarray:
     h = _fd_bandwidth(a, bandwidth)
-    integ = ens[0.0].integral
+    integ = ens[t, 0.0].integral
     return ((integ <= a + h).astype(float) - (integ <= a - h).astype(float)) / (2.0 * h)
 
 
-def _kernel_d2_naive_values(ens, a, bandwidth=None, **_) -> np.ndarray:
+def _kernel_d2_naive_values(ens, a, t, bandwidth=None, **_) -> np.ndarray:
     h = _fd_bandwidth(a, bandwidth)
-    integ = ens[0.0].integral
+    integ = ens[t, 0.0].integral
     return (
         np.maximum(integ - a - h, 0.0)
         - 2.0 * np.maximum(integ - a, 0.0)
@@ -319,8 +331,8 @@ def _kernel_d2_naive_values(ens, a, bandwidth=None, **_) -> np.ndarray:
     ) / h**2
 
 
-def _joint_identity_values(ens, b, a, **_) -> np.ndarray:
-    batch = ens[0.0]
+def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
+    batch = ens[t, 0.0]
     m, integ = batch.terminal, batch.integral
     body, tail = split_weight(batch, a)
     bound = integ / a
@@ -333,14 +345,14 @@ def _joint_identity_values(ens, b, a, **_) -> np.ndarray:
     return body
 
 
-def _kernel_d1_identity_values(ens, a, **_) -> np.ndarray:
-    values = cdf_identity_values(ens[0.0], a)
+def _kernel_d1_identity_values(ens, a, t, **_) -> np.ndarray:
+    values = cdf_identity_values(ens[t, 0.0], a)
     values -= 1.0
     return values
 
 
-def _weighted_cdf_estimate(ens, a, nu, **_):
-    values = weighted_cdf_values(ens[nu], a)
+def _weighted_cdf_estimate(ens, a, t, nu, **_):
+    values = weighted_cdf_values(ens[t, nu], a)
     return values, None, ("tail-underflow",) if values.max() == 0.0 else ()
 
 
@@ -356,9 +368,11 @@ class Quantity:
     ``params`` maps each parameter, in the order of the public function, to
     the bound :func:`~asianmc.paths.check_param` holds it to (None: finite).
     ``methods`` maps each method, in the order the command line's ``both``
-    runs them, to ``(drifts, values)``.  ``drifts`` lists the drifts the
-    method reads, each a number or the name of the parameter that holds it;
-    ``values(ensemble, cfg=..., **args)`` returns the per-path values, or
+    runs them, to ``(reads, values)``.  ``reads`` lists the drifts the
+    method reads at the call's horizon, each a number or the name of the
+    parameter that holds it, or is a function of the arguments that returns
+    the (horizon, drift) keys it reads; ``values(ensemble, **args)`` gets the
+    batches keyed by (horizon, drift) and returns the per-path values, or
     ``(values, mean, flags)`` where the mean or the flags are not the plain
     ones.  The public function is the attribute of ``module`` named after the
     quantity, looked up at each call, so a wrapper set on that attribute (as
@@ -382,38 +396,41 @@ class Quantity:
         for name, bound in self.params.items():
             check_param(name, args[name], bound)
 
-    def drifts(self, method: str, args: Mapping) -> tuple[float, ...]:
-        return tuple(args[d] if isinstance(d, str) else d for d in self.methods[method][0])
+    def keys(self, method: str, args: Mapping) -> tuple[tuple[float, float], ...]:
+        """The (horizon, drift) keys ``method`` reads at ``args``."""
+        reads = self.methods[method][0]
+        return tuple(reads(**args) if callable(reads) else (
+            (self.horizon(args), args[d] if isinstance(d, str) else d) for d in reads))
 
 
 # Every quantity the sweep and the command line know, by public function
 # name; asianmc.greeks adds the option quantities (price and four Greeks).
 QUANTITIES: dict[str, Quantity] = {
     "cdf": Quantity({"a": POSITIVE, "t": None, "nu": None}, {
-        NAIVE: (("nu",), lambda ens, a, nu, **_: (ens[nu].integral <= a).astype(float)),
-        IDENTITY: (("nu",), lambda ens, a, nu, **_: cdf_identity_values(ens[nu], a)),
+        NAIVE: (("nu",), lambda ens, a, t, nu, **_: (ens[t, nu].integral <= a).astype(float)),
+        IDENTITY: (("nu",), lambda ens, a, t, nu, **_: cdf_identity_values(ens[t, nu], a)),
     }),
     "density": Quantity({"a": POSITIVE, "t": POSITIVE}, {
         NAIVE: ((0.0,), _density_naive_values),
         IDENTITY: ((0.0, 1.0),
-                   lambda ens, a, **_: density_identity_values(ens[0.0], ens[1.0], a)),
+                   lambda ens, a, t, **_: density_identity_values(ens[t, 0.0], ens[t, 1.0], a)),
     }),
     "joint_cdf": Quantity({"b": POSITIVE, "a": POSITIVE, "t": None}, {
-        NAIVE: ((0.0,), lambda ens, b, a, **_:
-                ((ens[0.0].terminal < b) & (ens[0.0].integral < a)).astype(float)),
+        NAIVE: ((0.0,), lambda ens, b, a, t, **_:
+                ((ens[t, 0.0].terminal < b) & (ens[t, 0.0].integral < a)).astype(float)),
         IDENTITY: ((0.0,), _joint_identity_values),
     }),
     "call_kernel": Quantity({"a": POSITIVE, "t": None, "nu": None}, {
-        NAIVE: (("nu",), lambda ens, a, nu, **_: np.maximum(ens[nu].integral - a, 0.0)),
-        IDENTITY: ((0.0,), lambda ens, a, nu, **_: kernel_identity_values(ens[0.0], a, nu)),
+        NAIVE: (("nu",), lambda ens, a, t, nu, **_: np.maximum(ens[t, nu].integral - a, 0.0)),
+        IDENTITY: ((0.0,), lambda ens, a, t, nu, **_: kernel_identity_values(ens[t, 0.0], a, nu)),
     }),
     "call_kernel_d1": Quantity({"a": POSITIVE, "t": POSITIVE}, {
-        NAIVE: ((0.0,), lambda ens, a, **_: -1.0 + (ens[0.0].integral <= a).astype(float)),
+        NAIVE: ((0.0,), lambda ens, a, t, **_: -1.0 + (ens[t, 0.0].integral <= a).astype(float)),
         IDENTITY: ((0.0,), _kernel_d1_identity_values),
     }),
     "call_kernel_d2": Quantity({"a": POSITIVE, "t": POSITIVE}, {
         NAIVE: ((0.0,), _kernel_d2_naive_values),
-        IDENTITY: ((0.0,), lambda ens, a, **_: kernel_d2_identity_values(ens[0.0], a)),
+        IDENTITY: ((0.0,), lambda ens, a, t, **_: kernel_d2_identity_values(ens[t, 0.0], a)),
     }),
 }
 
@@ -428,8 +445,8 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
         raise ValueError("an MCConfig is required")
     if method not in q.methods:
         raise ValueError(f"unknown method {method!r}")
-    ens = _ensemble_for(q.horizon(args), q.drifts(method, args), cfg, ensemble)
-    out = q.methods[method][1](ens, cfg=cfg, **args)
+    ens = _ensemble_for(q.horizon(args), q.keys(method, args), cfg, ensemble)
+    out = q.methods[method][1](ens, **args)
     values, mean, flags = out if isinstance(out, tuple) else (out, None, ())
     return _wrap(values, method, started, flags, mean)
 
@@ -443,14 +460,15 @@ def estimate(quantity: str, args: Mapping, cfg: MCConfig, method: str,
 
 
 def shared_ensemble(horizon: float, cfg: MCConfig,
-                    calls: Iterable[tuple[str, str, Mapping]]) -> Mapping[float, PathBatch]:
-    """One ensemble at ``horizon`` with every drift the ``(quantity, method,
-    args)`` calls read, so that all of them share one draw of paths.
+                    calls: Iterable[tuple[str, str, Mapping]]) -> dict[tuple, PathBatch]:
+    """One ensemble, keyed by (horizon, drift), with every key the
+    ``(quantity, method, args)`` calls at ``horizon`` read, drawn in one call
+    of the path core, so that all of them share one draw of normals.
 
-    Calls whose arguments or method the quantity rejects add no drift; made
+    Calls whose arguments or method the quantity rejects add no key; made
     with this ensemble, they raise their own error.
     """
-    nus: set[float] = set()
+    keys: set[tuple[float, float]] = set()
     for quantity, method, args in calls:
         q = QUANTITIES[quantity]
         try:
@@ -458,8 +476,8 @@ def shared_ensemble(horizon: float, cfg: MCConfig,
         except ValueError:
             continue
         if method in q.methods:
-            nus.update(q.drifts(method, args))
-    return _ensemble_for(horizon, tuple(sorted(nus)), cfg, None)
+            keys.update(q.keys(method, args))
+    return _ensemble_for(horizon, sorted(keys), cfg, None)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +505,7 @@ def transform_expectation(
     if params.nu != 0.0:
         raise ValueError("the generic transform is defined for the driftless case only")
     a = params.a
-    batch = _ensemble_for(params.t, (0.0,), cfg, ensemble)[0.0]
+    batch = _ensemble_for(params.t, ((params.t, 0.0),), cfg, ensemble)[params.t, 0.0]
     m, integ = batch.terminal, batch.integral
     shrink = 1.0 + integ / a
     fx = np.asarray(f(m / shrink**2, integ / shrink), dtype=float)

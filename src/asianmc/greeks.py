@@ -5,8 +5,9 @@ discount factor, and the market inputs collapse into the derived scale
 ``a = sigma^2 * strike * expiry / s0`` and the effective horizon
 ``T = sigma^2 * expiry``.  All sensitivities are exact transformations of the
 distribution estimators in :mod:`asianmc.estimators`; finite-difference
-cross-checks with common random numbers are built in, sharing one path
-ensemble per horizon.
+cross-checks with common random numbers are built in.  A report reads
+every horizon and drift it needs (the driftless and drift-1 batches at
+T, and the FD vega's two sigma-moved horizons) from one draw of normals.
 
 Method tags: ``identity`` uses the closed-form transformed estimators,
 ``naive`` prices the raw discounted payoff, ``fd`` differentiates the naive
@@ -38,7 +39,7 @@ from .estimators import (
     tilted_cdf_values,
     weighted_cdf_values,
 )
-from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _simulate, check_param
+from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_param
 
 FD = "fd"
 
@@ -175,24 +176,29 @@ def _vega_relation(spec: OptionSpec, pv: np.ndarray, surv1: np.ndarray,
         - (2.0 * spec.strike / sig) * spec.discount * surv0
 
 
-def _central(spec: OptionSpec, name: str, step: str, batch: PathBatch | None = None,
-             cfg: MCConfig | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Naive prices with field ``name`` moved up and down by h, and h.
-
-    h = FD_REL_STEP[step] times the field.  Both moved specs are priced on
-    ``batch``; without one, the move shifts the horizon, and each moved spec
-    is priced on driftless paths at its own horizon, both horizons read from
-    one draw of ``cfg``'s normals.
-    """
+def _moved(spec: OptionSpec, name: str, step: str) -> tuple[OptionSpec, OptionSpec, float]:
+    """``spec`` with field ``name`` moved up and down by h, and h = FD_REL_STEP[step] times it."""
     x = getattr(spec, name)
     h = FD_REL_STEP[step] * x
-    up, dn = (replace(spec, **{name: x + d}) for d in (h, -h))
-    if batch is None:
-        grids = _simulate(((s.horizon, 0.0, 1) for s in (up, dn)), cfg)
-        up_b, dn_b = (PathBatch(s.horizon, 0.0, *grids[s.horizon, 0.0, 1], cfg) for s in (up, dn))
-    else:
-        up_b = dn_b = batch
-    return price_naive_values(up, up_b), price_naive_values(dn, dn_b), h
+    return replace(spec, **{name: x + h}), replace(spec, **{name: x - h}), h
+
+
+def _moved_keys(spec: OptionSpec, name: str, step: str) -> tuple[tuple[float, float], ...]:
+    """The driftless (horizon, drift) keys the two moved specs are priced on."""
+    return tuple((s.horizon, 0.0) for s in _moved(spec, name, step)[:2])
+
+
+def _central(spec: OptionSpec, name: str, step: str,
+             ens: Mapping[tuple[float, float], PathBatch]) -> tuple[np.ndarray, np.ndarray, float]:
+    """Naive prices of the two moved specs of :func:`_moved`, and h.
+
+    Each moved spec is priced on the driftless batch of ``ens`` at its own
+    horizon: the base horizon for a move in s0, a moved one for a move in
+    sigma or expiry.
+    """
+    up, dn, h = _moved(spec, name, step)
+    return (price_naive_values(up, ens[up.horizon, 0.0]),
+            price_naive_values(dn, ens[dn.horizon, 0.0]), h)
 
 
 def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray, g: np.ndarray,
@@ -211,31 +217,31 @@ def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray, g: np.ndar
 
 
 def _delta_fd_values(ens, spec, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "s0", "delta", ens[0.0])
+    up, dn, h = _central(spec, "s0", "delta", ens)
     return (up - dn) / (2.0 * h)
 
 
 def _gamma_fd_values(ens, spec, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "s0", "gamma", ens[0.0])
-    return (up - 2.0 * price_naive_values(spec, ens[0.0]) + dn) / h**2
+    up, dn, h = _central(spec, "s0", "gamma", ens)
+    return (up - 2.0 * price_naive_values(spec, ens[spec.horizon, 0.0]) + dn) / h**2
 
 
 def _theta_identity_values(ens, spec, **_):
-    batch0 = ens[0.0]
+    batch0 = ens[spec.horizon, 0.0]
     return _pricing_relation(spec, price_identity_values(spec, batch0),
                              delta_identity_values(spec, batch0),
-                             gamma_identity_values(spec, batch0, ens[1.0]))
+                             gamma_identity_values(spec, batch0, ens[spec.horizon, 1.0]))
 
 
 def _theta_fd_values(ens, spec, **_):
-    pv = price_naive_values(spec, ens[0.0])
-    up_d, dn_d, h_d = _central(spec, "s0", "delta", ens[0.0])
-    up_g, dn_g, h_g = _central(spec, "s0", "gamma", ens[0.0])
+    pv = price_naive_values(spec, ens[spec.horizon, 0.0])
+    up_d, dn_d, h_d = _central(spec, "s0", "delta", ens)
+    up_g, dn_g, h_g = _central(spec, "s0", "gamma", ens)
     return _pricing_relation(spec, pv, up_d - dn_d, up_g - 2.0 * pv + dn_g, 2.0 * h_d, h_g**2)
 
 
 def _vega_identity_values(ens, spec, **_):
-    batch0 = ens[0.0]
+    batch0 = ens[spec.horizon, 0.0]
     values = vega_identity_values(spec, batch0)
     if not spec.rate > 0.0:
         return values
@@ -244,8 +250,8 @@ def _vega_identity_values(ens, spec, **_):
     return values, None, (f"printed-form={undiscounted:.17g}",)
 
 
-def _vega_fd_values(ens, spec, cfg, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "sigma", "vega", cfg=cfg)
+def _vega_fd_values(ens, spec, **_) -> np.ndarray:
+    up, dn, h = _central(spec, "sigma", "vega", ens)
     return (up - dn) / (2.0 * h)
 
 
@@ -272,16 +278,18 @@ class _Option(Quantity):
 
 QUANTITIES.update(
     price=_Option(OPTION_PARAMS, {
-        NAIVE: ((0.0,), lambda ens, spec, **_: price_naive_values(spec, ens[0.0])),
-        IDENTITY: ((0.0,), lambda ens, spec, **_: price_identity_values(spec, ens[0.0])),
+        NAIVE: ((0.0,), lambda ens, spec, **_: price_naive_values(spec, ens[spec.horizon, 0.0])),
+        IDENTITY: ((0.0,),
+                   lambda ens, spec, **_: price_identity_values(spec, ens[spec.horizon, 0.0])),
     }),
     delta=_Option(OPTION_PARAMS, {
-        IDENTITY: ((0.0,), lambda ens, spec, **_: delta_identity_values(spec, ens[0.0])),
+        IDENTITY: ((0.0,),
+                   lambda ens, spec, **_: delta_identity_values(spec, ens[spec.horizon, 0.0])),
         FD: ((0.0,), _delta_fd_values),
     }),
     gamma=_Option(OPTION_PARAMS, {
-        IDENTITY: ((0.0, 1.0),
-                   lambda ens, spec, **_: gamma_identity_values(spec, ens[0.0], ens[1.0])),
+        IDENTITY: ((0.0, 1.0), lambda ens, spec, **_: gamma_identity_values(
+            spec, ens[spec.horizon, 0.0], ens[spec.horizon, 1.0])),
         FD: ((0.0,), _gamma_fd_values),
     }),
     theta=_Option(OPTION_PARAMS, {
@@ -290,7 +298,7 @@ QUANTITIES.update(
     }),
     vega=_Option(OPTION_PARAMS, {
         IDENTITY: ((0.0,), _vega_identity_values),
-        FD: ((), _vega_fd_values),
+        FD: (lambda spec: _moved_keys(spec, "sigma", "vega"), _vega_fd_values),
     }),
 )
 
@@ -370,10 +378,11 @@ def vega_weighted(spec: OptionSpec, cfg: MCConfig, *,
     if spec.strike == 0.0:
         return _closed_form(0.0, cfg, "identity-weighted")
     a = spec.scale_a
-    ens = _ensemble_for(spec.horizon, (0.0, 1.0), cfg, ensemble)
-    values = _vega_relation(spec, price_identity_values(spec, ens[0.0]),
-                            1.0 - weighted_cdf_values(ens[1.0], a),
-                            1.0 - weighted_cdf_values(ens[0.0], a))
+    t = spec.horizon
+    ens = _ensemble_for(t, ((t, 0.0), (t, 1.0)), cfg, ensemble)
+    values = _vega_relation(spec, price_identity_values(spec, ens[t, 0.0]),
+                            1.0 - weighted_cdf_values(ens[t, 1.0], a),
+                            1.0 - weighted_cdf_values(ens[t, 0.0], a))
     return _wrap(values, "identity-weighted", started)
 
 
@@ -388,7 +397,8 @@ def theta_fd_expiry(spec: OptionSpec, cfg: MCConfig) -> Estimate:
     started = time.perf_counter()
     if spec.strike == 0.0:
         return _closed_form(0.0, cfg, FD)
-    up, dn, h = _central(spec, "expiry", "theta", cfg=cfg)
+    ens = _ensemble_for(spec.horizon, _moved_keys(spec, "expiry", "theta"), cfg, None)
+    up, dn, h = _central(spec, "expiry", "theta", ens)
     return _wrap(-(up - dn) / (2.0 * h), FD, started)
 
 
@@ -398,8 +408,9 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
 
     With ``fd_check`` the report also carries the four common-random-number
     finite-difference cross-checks: delta and gamma in s0 and theta through
-    the pricing relation with those FD Greeks, all three on the shared
-    ensemble, and vega in sigma.
+    the pricing relation with those FD Greeks, and vega in sigma, which
+    reads the ensemble at its two sigma-moved horizons.  Every (horizon,
+    drift) the report reads comes from one draw of normals.
     """
     sensitivities = {"delta": delta, "gamma": gamma, "theta": theta, "vega": vega}
     price_method = NAIVE if method == NAIVE else IDENTITY

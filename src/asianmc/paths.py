@@ -18,7 +18,11 @@ same normals, drawn once per chunk: a horizon t rescales them to variance
 t / n_steps, a drift multiplies that horizon's grid by exp(nu s), and a
 nested grid is the trapezoid over every k-th point of it.  So the values at
 one (t, nu) are bit for bit those of a separate call at that (t, nu), with
-whatever other horizons, drifts or grids are read beside them.
+whatever other horizons, drifts or grids are read beside them; a Greek
+report reads its two drifts at T and the FD vega's two moved horizons in
+one call.  Each horizon's grid is built in place in one buffer per chunk,
+so a chunk holds its normals and one grid, and another grid only for a
+drift that is neither 0 nor the last at its horizon.
 """
 
 from __future__ import annotations
@@ -150,6 +154,15 @@ def _functionals_from_normals(
     over every k-th grid point, which needs k to divide n_steps.  Each
     (t, nu) grid is built once, and each horizon's grids are released before
     the next horizon's are built.
+
+    Buffer discipline: a horizon's base grid is one (rows, n_steps + 1)
+    buffer.  z * sqrt(dt) is written straight into it, and the cumsum, the
+    subtraction of s/2 and the exp are taken in place there.  Drift 0 reads
+    the base grid first; the last other drift multiplies it in place, since
+    nothing reads it afterwards; only a drift that is neither gets a copy.
+    So drifts {0} and {0, nu} need one grid of memory, {nu1, nu2} and
+    {0, nu1, nu2} two.
+    The values are those of the out-of-place expressions, bit for bit.
     """
     plan: dict[float, dict[float, set[int]]] = {}
     for t, nu, k in keys:
@@ -160,16 +173,19 @@ def _functionals_from_normals(
         s = np.linspace(0.0, t, n_steps + 1)
         x0 = np.empty((z.shape[0], n_steps + 1))
         x0[:, 0] = 0.0
-        np.cumsum(z * math.sqrt(t / n_steps), axis=1, out=x0[:, 1:])
-        np.exp(x0 - 0.5 * s, out=x0)
-        for nu, strides in drifts.items():
-            x = x0 if nu == 0.0 else x0 * np.exp(nu * s)
-            for k in strides:
+        walk = np.multiply(z, math.sqrt(t / n_steps), out=x0[:, 1:])
+        np.cumsum(walk, axis=1, out=walk)
+        x0 -= 0.5 * s
+        np.exp(x0, out=x0)
+        for i, nu in enumerate(sorted(drifts, key=bool)):  # drift 0 first
+            last = i + 1 == len(drifts)
+            x = np.multiply(x0, np.exp(nu * s), out=x0 if last else None) if nu else x0
+            for k in drifts[nu]:
                 xs = x[:, ::k]
                 dt_k = t / (n_steps // k)
                 integral = dt_k * (xs.sum(axis=1) - 0.5 * xs[:, 0] - 0.5 * xs[:, -1])
                 out[t, nu, k] = (np.ascontiguousarray(xs[:, -1]), integral)
-        del x0, x, xs  # no view may keep this horizon's grid alive into the next
+        del x0, x, xs, walk  # no view may keep this horizon's grid alive into the next
     return out
 
 

@@ -91,13 +91,13 @@ def test_choice_the_quantity_does_not_take_exits_two(argv, option):
 @pytest.mark.parametrize("argv, chunks", [
     (("sweep", "--quantity", "cdf", "--grid", "a=0.5,1,2"), 1),
     (("cdf", "--a", "1", "--method", "both"), 1),
-    (("greeks", "--fd-check"), 2),
+    (("greeks", "--fd-check"), 1),
     (("bias", "--steps-grid", "4,8"), 1),
 ], ids=["argv0", "argv1", "argv2", "argv3"])
 def test_one_chunk_of_normals_per_command(argv, chunks, monkeypatch):
     # every point and method of one command shares one ensemble: 64 paths
-    # are one chunk, so one draw of normals; greeks --fd-check draws a
-    # second, from which the FD vega reads both of its bumped horizons
+    # are one chunk, so one draw of normals; greeks --fd-check reads the FD
+    # vega's two bumped horizons from that same draw
     calls = []
     draw = am.paths._chunk_normals
     monkeypatch.setattr(am.paths, "_chunk_normals",

@@ -104,6 +104,9 @@ def test_supplied_ensemble_must_match_the_call_horizon_and_cfg():
         am.cdf(1.0, 1.0, 0.0, MCConfig(500, 64, 1), "naive", ensemble=ens)
     # a batch the call does not read is not checked
     assert am.cdf(1.0, 4.0, 1.0, cfg, "naive", ensemble=ens).n_paths == 2000
+    # a key the supplied ensemble lacks is drawn: the FD vega's moved horizons
+    spec = am.OptionSpec(1.0, 1.0, 1.0, 0.0, 1.0)
+    assert am.vega(spec, cfg, "fd", ensemble=ens).mean == am.vega(spec, cfg, "fd").mean
 
 
 def test_estimate_validation():

@@ -8,6 +8,7 @@ import pytest
 
 import asianmc as am
 from asianmc import MCConfig, OptionSpec
+from asianmc.estimators import shared_ensemble
 from asianmc.greeks import FD, FD_REL_STEP, _central, price_naive_values, theta_fd_expiry
 
 FIG_CONFIG = OptionSpec(s0=1.0, strike=1.0, sigma=1.0, rate=0.0, expiry=1.0)
@@ -190,7 +191,8 @@ def test_fd_vega_bumped_prices_equal_fresh_draws_at_each_horizon():
     # a separate draw at that horizon, bit for bit (1500 paths: two chunks)
     spec = OptionSpec(s0=1.0, strike=1.1, sigma=0.8, rate=0.02, expiry=1.5)
     cfg = MCConfig(1_500, 64, 3)
-    up, dn, h = _central(spec, "sigma", "vega", cfg=cfg)
+    up, dn, h = _central(spec, "sigma", "vega", shared_ensemble(spec.horizon, cfg, [
+        ("vega", FD, {"spec": spec})]))
     assert h == FD_REL_STEP["vega"] * spec.sigma
     for values, sigma in ((up, spec.sigma + h), (dn, spec.sigma - h)):
         moved = replace(spec, sigma=sigma)
@@ -222,6 +224,28 @@ def test_greek_report_structure():
         assert est.n_paths == 5_000
         assert math.isfinite(est.mean)
     assert report.theta.mean == -0.5 * report.gamma.mean
+
+
+@pytest.mark.parametrize("method", ["identity", "naive"])
+def test_greek_report_estimates_equal_stand_alone_calls(method):
+    # the report reads every horizon and drift from one draw of normals;
+    # each of its estimates must equal the call that draws its own paths,
+    # bit for bit (1500 paths: two chunks; rate > 0 adds the vega flag)
+    spec = OptionSpec(s0=1.0, strike=1.1, sigma=0.8, rate=0.02, expiry=1.5)
+    cfg = MCConfig(1_500, 64, 3)
+    report = am.greek_report(spec, cfg, method, fd_check=True)
+    greek_method = FD if method == "naive" else method
+    pairs = [(report.price, am.price(spec, cfg, method))] + [
+        (getattr(report, name), getattr(am, name)(spec, cfg, greek_method))
+        for name in report.fd_cross_checks]
+    pairs += [(est, getattr(am, name)(spec, cfg, FD))
+              for name, est in report.fd_cross_checks.items()]
+    assert len(pairs) == 9
+    for got, alone in pairs:
+        assert (got.mean, got.stderr, got.flags, got.method) == \
+            (alone.mean, alone.stderr, alone.flags, alone.method)
+    assert any(flag.startswith("printed-form=") for flag in report.vega.flags) \
+        == (method == "identity")
 
 
 def test_greek_report_zero_strike():

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +179,13 @@ def test_only_paths_draws_normals():
 
 
 def test_horizons_drifts_and_strides_share_one_draw():
-    keys = [(1.0, 0.0, 1), (1.0, 1.0, 1), (1.2, 0.0, 1), (1.0, 1.0, 64)]
+    # at t = 1.5 there is no drift 0: the first drift is a copy, the last
+    # is taken in place on the base grid
+    keys = [(1.0, 0.0, 1), (1.0, 1.0, 1), (1.2, 0.0, 1), (1.0, 1.0, 64),
+            (1.5, 1.0, 1), (1.5, -0.5, 1)]
     keys += [(0.0, nu, k) for nu in (0.0, 2.5, -1.0) for k in (1, 4)]
     out = asianmc.paths._simulate(keys, CFG)
-    for t, nu in ((1.0, 0.0), (1.0, 1.0), (1.2, 0.0)):
+    for t, nu in ((1.0, 0.0), (1.0, 1.0), (1.2, 0.0), (1.5, 1.0), (1.5, -0.5)):
         batch = sample_batch(t, nu, CFG)
         np.testing.assert_array_equal(out[t, nu, 1][0], batch.terminal)
         np.testing.assert_array_equal(out[t, nu, 1][1], batch.integral)
@@ -189,5 +193,22 @@ def test_horizons_drifts_and_strides_share_one_draw():
     terminal, integral = out[1.0, 1.0, 64]
     np.testing.assert_array_equal(terminal, out[1.0, 1.0, 1][0])
     np.testing.assert_allclose(integral, 0.5 * (1.0 + terminal), rtol=1e-15)
-    for key in keys[4:]:
+    for key in keys[6:]:
         assert np.all(out[key][0] == 1.0) and np.all(out[key][1] == 0.0)
+
+
+@pytest.mark.parametrize("drifts, grids", [((0.0,), 1.1), ((0.0, 1.0), 1.1), ((1.0, 2.0), 2.1)])
+def test_kernel_peak_allocation(drifts, grids):
+    # one chunk's kernel builds each (t, nu) grid in place: drifts {0} and
+    # {0, nu} need one grid of memory, and only a drift that is neither 0
+    # nor the last needs a second
+    z = np.random.default_rng(0).standard_normal((1024, 256))
+    grid_bytes = z.shape[0] * (z.shape[1] + 1) * z.itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        asianmc.paths._functionals_from_normals(z, [(1.0, nu, 1) for nu in drifts])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= grids * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
