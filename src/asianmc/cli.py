@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -118,7 +119,9 @@ def _add_option_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expiry", type=float, default=1.0, help="years to expiry")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = _Parser(
         prog="asianmc",
         description="Monte Carlo estimators for time-integrated exponential "

@@ -20,9 +20,11 @@ nested grid is the trapezoid over every k-th point of it.  So the values at
 one (t, nu) are bit for bit those of a separate call at that (t, nu), with
 whatever other horizons, drifts or grids are read beside them; a Greek
 report reads its two drifts at T and the FD vega's two moved horizons in
-one call.  Each horizon's grid is built in place in one buffer per chunk,
-so a chunk holds its normals and one grid, and another grid only for a
-drift that is neither 0 nor the last at its horizon.
+one call.  A chunk is drawn and evaluated one row block at a time, the
+block sized so that its normals and one grid fit in a core's L2 cache
+together; each horizon's grid is built in place in one buffer per block.
+So a chunk holds one block of normals and one block grid, and another block
+grid only for a drift that is neither 0 nor the last at its horizon.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 PATHS_PER_CHUNK = 1024
+# normals per row block of a chunk: the block and one grid of it fit in L2
+BLOCK_ELEMENTS = 1 << 16
 
 DEFAULT_SEED = 42
 STEPS_PER_UNIT_TIME = 1024
@@ -130,18 +134,34 @@ def _validate_drift(nu: float) -> float:
     return nu
 
 
-def _chunk_normals(master_seed: int, chunk_index: int, n_steps: int, antithetic: bool) -> np.ndarray:
-    """Raw standard normals for one full chunk, shape (PATHS_PER_CHUNK, n_steps).
+def _chunk_normals(
+    master_seed: int, chunk_index: int, n_steps: int, antithetic: bool,
+    rows: int = PATHS_PER_CHUNK,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Raw standard normals for the first ``rows`` rows of one chunk, as row blocks.
 
-    The generator key is derived from (master_seed, chunk_index) only, and the
-    full chunk is always drawn, so row r is a pure function of
-    (master_seed, n_steps, chunk_index, r).
+    Yields ``(lo, z)``: z holds rows lo, lo + 1, ... of the chunk, shape
+    (m, n_steps) with m at most the block size: BLOCK_ELEMENTS // n_steps
+    rounded down to even, and at least 2.  Every block is drawn into one
+    reused buffer, so z is valid only until the next block is drawn.  The
+    generator key is derived from (master_seed, chunk_index) only, and rows
+    are drawn in order from its one Philox stream, so row r is a pure
+    function of (master_seed, n_steps, chunk_index, r): the rows of any call
+    are a prefix of the full chunk, however it is split into blocks.  Blocks
+    have an even row count and start on an even row, so antithetic pairs
+    never straddle two blocks; an odd last block draws its partner row too
+    and drops it.
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(chunk_index),))
-    z = np.random.Generator(np.random.Philox(ss)).standard_normal((PATHS_PER_CHUNK, n_steps))
-    if antithetic:
-        z[1::2] = -z[0::2]
-    return z
+    gen = np.random.Generator(np.random.Philox(ss))
+    block = max(2, BLOCK_ELEMENTS // n_steps & ~1)
+    buf = np.empty((min(block, rows + rows % 2), n_steps))
+    for lo in range(0, rows, block):
+        m = min(block, rows - lo)
+        z = gen.standard_normal(out=buf[:m + (m % 2 if antithetic else 0)])
+        if antithetic:
+            z[1::2] = -z[0::2]
+        yield lo, z[:m]
 
 
 def _functionals_from_normals(
@@ -194,20 +214,25 @@ def _simulate(
 ) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
     """(terminal, integral) arrays of cfg.n_paths paths for each (t, nu, k) key.
 
-    The one chunk loop: each chunk's normals are drawn once and every key is
-    read from them (see :func:`_functionals_from_normals`).  Chunks may be
-    evaluated concurrently; each writes its own rows of the results.
+    The one chunk loop: each chunk's normals are drawn once, one row block at
+    a time (see :func:`_chunk_normals`), every key is read from each block
+    (see :func:`_functionals_from_normals`) and its rows are written into the
+    results before the next block is drawn.  The last chunk draws only the
+    rows it needs.  Chunks may be evaluated concurrently; each writes its own
+    rows of the results.
     """
     keys = tuple(dict.fromkeys(keys))
     n = cfg.n_paths
     out = {key: (np.empty(n), np.empty(n)) for key in keys}
 
     def run_chunk(c: int) -> None:
-        lo = c * PATHS_PER_CHUNK
-        z = _chunk_normals(cfg.master_seed, c, cfg.n_steps, cfg.antithetic)[:n - lo]
-        for key, (tv, iv) in _functionals_from_normals(z, keys).items():
-            out[key][0][lo:lo + len(tv)] = tv
-            out[key][1][lo:lo + len(iv)] = iv
+        first = c * PATHS_PER_CHUNK
+        rows = min(PATHS_PER_CHUNK, n - first)
+        for lo, z in _chunk_normals(cfg.master_seed, c, cfg.n_steps, cfg.antithetic, rows):
+            at = slice(first + lo, first + lo + len(z))
+            for key, (tv, iv) in _functionals_from_normals(z, keys).items():
+                out[key][0][at] = tv
+                out[key][1][at] = iv
 
     n_chunks = (n + PATHS_PER_CHUNK - 1) // PATHS_PER_CHUNK
     if threads is not None and threads > 1 and n_chunks > 1:
@@ -262,6 +287,6 @@ def sample_path(t: float, nu: float, cfg: MCConfig, path_index: int) -> PathSamp
     if not 0 <= path_index < cfg.n_paths:
         raise ValueError(f"path_index {path_index} outside [0, {cfg.n_paths})")
     chunk, row = divmod(path_index, PATHS_PER_CHUNK)
-    z = _chunk_normals(cfg.master_seed, chunk, cfg.n_steps, cfg.antithetic)[row:row + 1]
-    tv, iv = _functionals_from_normals(z, ((t, nu, 1),))[t, nu, 1]
+    *_, (_, z) = _chunk_normals(cfg.master_seed, chunk, cfg.n_steps, cfg.antithetic, row + 1)
+    tv, iv = _functionals_from_normals(z[-1:], ((t, nu, 1),))[t, nu, 1]
     return PathSample(float(tv[0]), float(iv[0]))

@@ -107,6 +107,29 @@ def test_one_chunk_of_normals_per_command(argv, chunks, monkeypatch):
     assert len(calls) == chunks
 
 
+def test_parser_is_built_once_and_keeps_no_arguments(monkeypatch):
+    # the parser is cached per process; each parse starts from the defaults,
+    # and repeated --grid options do not pile up across calls
+    parsed = []
+    parse_args = am.cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append((self, parse_args(self, *args, **kwargs)))
+        return parsed[-1][1]
+
+    monkeypatch.setattr(am.cli._Parser, "parse_args", recording)
+    am.cli.build_parser.cache_clear()
+    plain = ("greeks", "--paths", "64", "--steps", "8")
+    sweep = ("sweep", "--quantity", "cdf", "--grid", "a=1", "--paths", "64", "--steps", "8")
+    first = [invoke(*plain), invoke(*sweep)]
+    invoke("greeks", "--fd-check", "--antithetic", "--seed", "3", "--paths", "128",
+           "--steps", "16", "--method", "naive")
+    invoke(*sweep[:3], "--grid", "t=0.5,2", *sweep[3:])
+    assert [invoke(*plain), invoke(*sweep)] == first
+    assert len({id(parser) for parser, _ in parsed}) == 1
+    assert vars(parsed[-2][1]) == vars(parsed[0][1]) and parsed[-1][1].grid == ["a=1"]
+
+
 # ---------------------------------------------------------------------------
 # schema and values
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import asianmc
 from asianmc import MCConfig, PathSample, default_steps, sample_batch, sample_ensemble, sample_path
+from asianmc.greeks import _moved_keys
 
 CFG = MCConfig(n_paths=2048, n_steps=64, master_seed=42)
 
@@ -71,6 +72,15 @@ def test_batch_is_reproducible_and_matches_single_paths():
     np.testing.assert_array_equal(b1.integral, b2.integral)
     for i in (0, 1, 1023, 1024, 2047):
         assert sample_path(1.0, 0.0, CFG, i) == b1.sample(i)
+    # a chunk of n_steps-step paths is drawn in blocks of
+    # max(2, BLOCK_ELEMENTS // n_steps) rows, rounded down to even: the rows
+    # on either side of a block boundary, in both chunks
+    for n_steps, block in ((257, 254), (1024, 64), (1536, 42)):
+        for antithetic in (False, True):
+            cfg = MCConfig(2048, n_steps, 42, antithetic)
+            batch = sample_batch(1.0, 0.0, cfg)
+            for i in (block - 1, block, 1024 + block - 1, 1024 + block, 2047):
+                assert sample_path(1.0, 0.0, cfg, i) == batch.sample(i)
 
 
 def test_paths_do_not_depend_on_batch_size():
@@ -212,3 +222,51 @@ def test_kernel_peak_allocation(drifts, grids):
     finally:
         tracemalloc.stop()
     assert peak <= grids * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
+
+
+def _whole_chunk_reference(keys, cfg):
+    """The keyed core with each chunk drawn whole: one (1024, n_steps) Philox
+    draw per chunk, fed to the kernel at once."""
+    n = cfg.n_paths
+    out = {key: (np.empty(n), np.empty(n)) for key in keys}
+    for lo in range(0, n, 1024):
+        ss = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(lo // 1024,))
+        z = np.random.Generator(np.random.Philox(ss)).standard_normal((1024, cfg.n_steps))
+        if cfg.antithetic:
+            z[1::2] = -z[0::2]
+        for key, (tv, iv) in asianmc.paths._functionals_from_normals(z[:n - lo], keys).items():
+            out[key][0][lo:lo + len(tv)] = tv
+            out[key][1][lo:lo + len(iv)] = iv
+    return out
+
+
+@pytest.mark.parametrize("n_steps", [8, 257, 1536])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("n_paths", [1500, 1501])
+def test_streamed_blocks_equal_a_whole_chunk_draw(n_paths, antithetic, n_steps):
+    # the Greek report's keys: drifts 0 and 1 at T and the FD vega's two
+    # sigma-moved horizons; 1536 steps are 42-row blocks, 257 steps 254-row
+    # blocks and 8 steps one block per chunk
+    spec = asianmc.OptionSpec(1.0, 1.0, 1.0, 0.0, 1.0)
+    keys = [(spec.horizon, 0.0, 1), (spec.horizon, 1.0, 1)]
+    keys += [(t, nu, 1) for t, nu in _moved_keys(spec, "sigma", "vega")]
+    cfg = MCConfig(n_paths, n_steps, 7, antithetic)
+    streamed = asianmc.paths._simulate(keys, cfg)
+    for key, (terminal, integral) in _whole_chunk_reference(keys, cfg).items():
+        np.testing.assert_array_equal(streamed[key][0], terminal)
+        np.testing.assert_array_equal(streamed[key][1], integral)
+
+
+def test_streamed_chunk_peak_allocation():
+    # one 1024 x 1024 chunk with drifts {0, 1} holds one row block of normals
+    # and one block grid (about 1 MiB), not the whole chunk's normals and
+    # grid (16.9 MB)
+    cfg = MCConfig(1024, 1024, 42)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        asianmc.paths._simulate([(1.0, 0.0, 1), (1.0, 1.0, 1)], cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
