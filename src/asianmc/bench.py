@@ -11,7 +11,6 @@ Brownian paths.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -135,7 +134,9 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
 
     Rows that raise are recorded with their error message so one bad cell
     (for example a tail-underflow region) cannot abort a whole sweep.
-    Work is grouped by shared path ensemble; groups may run concurrently.
+    Work is grouped by shared path ensemble and the groups run in turn;
+    ``threads`` spreads each group's draw over worker threads as in
+    :func:`~asianmc.paths.sample_ensemble` (None, the default, is serial).
     """
     q = QUANTITIES[spec.quantity]
     # (horizon, n_paths, n_steps, seed) -> {point: public-function arguments};
@@ -155,7 +156,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
                        antithetic=spec.antithetic)
         try:
             ens = shared_ensemble(horizon, cfg, [
-                (spec.quantity, m, args) for args in pts.values() for m in spec.methods])
+                (spec.quantity, m, args) for args in pts.values() for m in spec.methods],
+                threads=threads)
         except ValueError:
             ens = None  # then every call below meets the same error itself
         rows: list[SweepRow] = []
@@ -168,14 +170,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
                     rows.append(SweepRow(pt, n, method, seed, None, str(exc)))
         return rows
 
-    items = sorted(groups.items(), key=lambda kv: kv[0])
-    if threads is not None and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_group, items))
-    else:
-        chunks = [run_group(item) for item in items]
-
-    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r.sort_key)
+    rows = sorted((row for item in sorted(groups.items()) for row in run_group(item)),
+                  key=lambda r: r.sort_key)
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -187,8 +183,8 @@ class BiasRow:
     closed_form_gap: float
 
 
-def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int],
-                           cfg: MCConfig) -> tuple[BiasRow, ...]:
+def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: MCConfig,
+                           *, threads: int | None = None) -> tuple[BiasRow, ...]:
     """Trapezoid bias of the mean integral versus the closed form (e^{nu t}-1)/nu.
 
     Every row restricts the same finest-grid Brownian paths to a coarser
@@ -198,7 +194,9 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int],
     At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
     step count (each grid sample has unit expectation), so gaps there show
     pure shared Monte Carlo noise; drifted runs show the genuine O(dt^2)
-    quadrature bias.
+    quadrature bias.  ``threads`` spreads the draw's chunks over worker
+    threads as in :func:`~asianmc.paths.sample_ensemble`; None (the default)
+    is serial.
     """
     check_param("time t", t, NONNEGATIVE)
     check_param("drift nu", nu)
@@ -212,7 +210,8 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int],
         raise ValueError("every step count must divide the finest one")
     target = stable_exp_rate(nu, t)
     started = time.perf_counter()
-    grids = _simulate(((t, nu, finest // s) for s in steps), replace(cfg, n_steps=finest))
+    grids = _simulate(((t, nu, finest // s) for s in steps), replace(cfg, n_steps=finest),
+                      threads)
     out = []
     for s in steps:
         est = _wrap(grids[t, nu, finest // s][1], "nested", started)

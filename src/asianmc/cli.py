@@ -103,8 +103,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--antithetic", action="store_true", default=False,
                    help="pair path 2k+1 with the negated increments of path 2k")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for sweep groups (other commands run serially); "
-                        "results do not depend on this")
+                   help="worker threads over which each command spreads its chunks of "
+                        "paths, one per core by default; results do not depend on this")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output file (default: standard output)")
     p.add_argument("--format", choices=("csv", "pretty"), default="csv",
@@ -215,7 +215,7 @@ def _run_quantity(args) -> list[list[str]]:
     call = q.arguments({p: getattr(args, p) for p in q.params})
     horizon = q.horizon(call)
     cfg = _cfg(args, horizon)
-    ens = shared_ensemble(horizon, cfg, [(name, m, call) for m in methods])
+    ens = shared_ensemble(horizon, cfg, [(name, m, call) for m in methods], threads=args.threads)
     options = {"bandwidth": args.bandwidth} if name == "density" else {}
     rows = []
     for m in methods:
@@ -231,7 +231,7 @@ def _run_greeks(args) -> list[list[str]]:
     spec = greeks.OptionSpec(args.s0, args.strike, args.sigma, args.rate, args.expiry)
     cfg = _cfg(args, spec.horizon)
     method = IDENTITY if args.method == "both" else _method_choice(args, (NAIVE, IDENTITY))[0]
-    report = greeks.greek_report(spec, cfg, method, fd_check=args.fd_check)
+    report = greeks.greek_report(spec, cfg, method, fd_check=args.fd_check, threads=args.threads)
     ests = [(name, getattr(report, name)) for name in ("price", "delta", "gamma", "theta", "vega")]
     ests += (report.fd_cross_checks or {}).items()
     return [_row(name, est.method, est, vars(args), cfg.n_paths, cfg.n_steps, cfg.master_seed)
@@ -285,7 +285,7 @@ def _run_bias(args) -> list[list[str]]:
     steps = _parse_list("--steps-grid", args.steps_grid, int)
     cfg = MCConfig(n_paths=args.paths, n_steps=max(steps), master_seed=args.seed,
                    antithetic=args.antithetic)
-    report = bench.quadrature_bias_report(args.t, args.nu, steps, cfg)
+    report = bench.quadrature_bias_report(args.t, args.nu, steps, cfg, threads=args.threads)
     return [_row("quadrature_bias", "nested",
                  Estimate(row.mean_integral, row.stderr, cfg.n_paths, "nested"), vars(args),
                  cfg.n_paths, row.n_steps, cfg.master_seed, (f"gap={row.closed_form_gap:.17g}",))
@@ -304,6 +304,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         rows = _RUNNERS.get(args.command, _run_quantity)(args)
         _emit(rows, args)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:

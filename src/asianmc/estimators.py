@@ -96,7 +96,7 @@ class TransformParams:
 
 def _ensemble_for(
     t: float, keys: Sequence[tuple[float, float]], cfg: MCConfig,
-    ensemble: Mapping | None,
+    ensemble: Mapping | None, *, threads: int | None = None,
 ) -> dict[tuple[float, float], PathBatch]:
     """The batch at each (horizon, drift) key of a call at horizon ``t``,
     keyed by that pair: supplied batches where possible, the rest drawn in
@@ -110,7 +110,8 @@ def _ensemble_for(
     :func:`shared_ensemble`.  A supplied batch the call reads must have been
     drawn with its cfg, and a drift the call reads at ``t`` must not be
     supplied only at other horizons; any other key the ensemble lacks is
-    drawn.
+    drawn, its chunks spread over ``threads`` as in
+    :func:`~asianmc.paths.sample_ensemble`.
     """
     have = {(b.t, b.nu): b for b in ensemble.values()} if ensemble else {}
     for b in have.values():
@@ -120,10 +121,10 @@ def _ensemble_for(
                              f"{b.cfg}, but the call is at t={t} with {cfg}")
     missing = [key for key in keys if key not in have]
     if len({h for h, _ in missing}) == 1:  # the public sampler checks t and the drifts
-        drawn = sample_ensemble(missing[0][0], [nu for _, nu in missing], cfg).values()
+        drawn = sample_ensemble(missing[0][0], [nu for _, nu in missing], cfg, threads).values()
         have.update(((b.t, b.nu), b) for b in drawn)
     elif missing:
-        grids = _simulate(((h, nu, 1) for h, nu in missing), cfg)
+        grids = _simulate(((h, nu, 1) for h, nu in missing), cfg, threads)
         have.update(((h, nu), PathBatch(h, nu, *grids[h, nu, 1], cfg)) for h, nu in missing)
     return have
 
@@ -459,11 +460,13 @@ def estimate(quantity: str, args: Mapping, cfg: MCConfig, method: str,
     return fn(**args, cfg=cfg, method=method, ensemble=ensemble, **options)
 
 
-def shared_ensemble(horizon: float, cfg: MCConfig,
-                    calls: Iterable[tuple[str, str, Mapping]]) -> dict[tuple, PathBatch]:
+def shared_ensemble(horizon: float, cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
+                    *, threads: int | None = None) -> dict[tuple, PathBatch]:
     """One ensemble, keyed by (horizon, drift), with every key the
     ``(quantity, method, args)`` calls at ``horizon`` read, drawn in one call
     of the path core, so that all of them share one draw of normals.
+    ``threads`` spreads that draw's chunks over worker threads as in
+    :func:`~asianmc.paths.sample_ensemble`; None (the default) is serial.
 
     Calls whose arguments or method the quantity rejects add no key; made
     with this ensemble, they raise their own error.
@@ -477,7 +480,7 @@ def shared_ensemble(horizon: float, cfg: MCConfig,
             continue
         if method in q.methods:
             keys.update(q.keys(method, args))
-    return _ensemble_for(horizon, sorted(keys), cfg, None)
+    return _ensemble_for(horizon, sorted(keys), cfg, None, threads=threads)
 
 
 # ---------------------------------------------------------------------------

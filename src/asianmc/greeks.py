@@ -403,14 +403,16 @@ def theta_fd_expiry(spec: OptionSpec, cfg: MCConfig) -> Estimate:
 
 
 def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
-                 fd_check: bool = False) -> GreekReport:
+                 fd_check: bool = False, *, threads: int | None = None) -> GreekReport:
     """Price plus all four Greeks from one shared path ensemble.
 
     With ``fd_check`` the report also carries the four common-random-number
     finite-difference cross-checks: delta and gamma in s0 and theta through
     the pricing relation with those FD Greeks, and vega in sigma, which
     reads the ensemble at its two sigma-moved horizons.  Every (horizon,
-    drift) the report reads comes from one draw of normals.
+    drift) the report reads comes from one draw of normals, whose chunks
+    ``threads`` spreads over worker threads as in
+    :func:`~asianmc.paths.sample_ensemble`; None (the default) is serial.
     """
     sensitivities = {"delta": delta, "gamma": gamma, "theta": theta, "vega": vega}
     price_method = NAIVE if method == NAIVE else IDENTITY
@@ -419,7 +421,7 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
     args = {"spec": spec}
     calls = [("price", price_method, args)] + [
         (name, m, args) for name in sensitivities for m in methods]
-    ens = shared_ensemble(spec.horizon, cfg, calls) if spec.strike > 0.0 else {}
+    ens = shared_ensemble(spec.horizon, cfg, calls, threads=threads) if spec.strike > 0.0 else {}
     report = GreekReport(spec, method, price(spec, cfg, price_method, ensemble=ens), *(
         fn(spec, cfg, greek_method, ensemble=ens) for fn in sensitivities.values()))
     if not fd_check:

@@ -13,7 +13,10 @@ pure function of ``(master_seed, n_steps, i)``.  Paths are generated in fixed
 chunks of :data:`PATHS_PER_CHUNK`, each chunk keyed by a counter-based
 derivation from the master seed, so serial, chunked and threaded runs agree
 bit for bit and path ``i`` never depends on how many other paths were asked
-for.  Every horizon, drift and nested grid read in one call comes from the
+for.  Each call may spread its chunks over worker threads (``threads``,
+serial by default): chunk c goes to worker c mod W, the calling thread
+runs worker 0's chunks itself, and each chunk writes only its own rows.
+Every horizon, drift and nested grid read in one call comes from the
 same normals, drawn once per chunk: a horizon t rescales them to variance
 t / n_steps, a drift multiplies that horizon's grid by exp(nu s), and a
 nested grid is the trapezoid over every k-th point of it.  So the values at
@@ -218,12 +221,19 @@ def _simulate(
     a time (see :func:`_chunk_normals`), every key is read from each block
     (see :func:`_functionals_from_normals`) and its rows are written into the
     results before the next block is drawn.  The last chunk draws only the
-    rows it needs.  Chunks may be evaluated concurrently; each writes its own
-    rows of the results.
+    rows it needs.  ``threads`` (None or 1: serial) spreads the chunks over
+    W = min(threads, n_chunks) workers in stripes: worker w evaluates chunks
+    w, w + W, ...  The calling thread runs stripe 0 itself and a pool of
+    W - 1 threads runs the others; each chunk writes only its own rows of
+    the results, so the values do not depend on ``threads``.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     keys = tuple(dict.fromkeys(keys))
     n = cfg.n_paths
     out = {key: (np.empty(n), np.empty(n)) for key in keys}
+    n_chunks = (n + PATHS_PER_CHUNK - 1) // PATHS_PER_CHUNK
+    workers = min(threads or 1, n_chunks)
 
     def run_chunk(c: int) -> None:
         first = c * PATHS_PER_CHUNK
@@ -234,13 +244,17 @@ def _simulate(
                 out[key][0][at] = tv
                 out[key][1][at] = iv
 
-    n_chunks = (n + PATHS_PER_CHUNK - 1) // PATHS_PER_CHUNK
-    if threads is not None and threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
+    def run_stripe(w: int) -> None:
+        for c in range(w, n_chunks, workers):
+            run_chunk(c)  # its return frees the chunk's block buffer before the next draw
+
+    if workers == 1:
+        run_stripe(0)
     else:
-        for c in range(n_chunks):
-            run_chunk(c)
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = pool.map(run_stripe, range(1, workers))
+            run_stripe(0)
+            list(others)  # re-raises a worker's error
     return out
 
 
@@ -253,15 +267,17 @@ def sample_ensemble(
     """Simulate one set of Brownian paths and evaluate it at several drifts.
 
     All returned batches share the same underlying increments, which is what
-    the drift-difference estimators (density, vega) rely on.  Chunks may be
-    evaluated concurrently; results are assembled in path-index order.
+    the drift-difference estimators (density, vega) rely on.  The values do
+    not depend on ``threads``.
 
     Parameters
     ----------
     t : nonnegative time horizon.
     nus : drift values to evaluate; each must be finite.
     cfg : simulation contract (path count, steps, seed, antithetic).
-    threads : worker threads for chunk evaluation; None means serial.
+    threads : worker threads over which the chunks are spread (at most one
+        per chunk, the calling thread among them); None or 1 means serial.
+        Must be >= 1.
 
     Returns
     -------

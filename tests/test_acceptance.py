@@ -16,6 +16,7 @@ below rely on.
 
 import io
 import math
+import os
 import subprocess
 import sys
 
@@ -197,7 +198,7 @@ def test_criterion_6_greeks_vs_finite_differences():
     """
     spec = OptionSpec(1.0, 1.0, 1.0, 0.0, 1.0)
     cfg = MCConfig(1_000_000, 1024, SEED)
-    rep = am.greek_report(spec, cfg, fd_check=True)
+    rep = am.greek_report(spec, cfg, fd_check=True, threads=os.cpu_count())
     fd = rep.fd_cross_checks
     h_gamma = 0.05 * spec.s0
     failures = []
@@ -279,8 +280,12 @@ def test_criterion_9_cli_determinism():
             "--paths", "2000", "--steps", "64", "--seed", "7"]
     sweep = ["sweep", "--quantity", "density", "--grid", "a=0.5,1",
              "--paths", "1000", "--steps", "32", "--seed", "3"]
+    # 2,501 paths: three chunks, the last one odd
+    greeks = ["greeks", "--fd-check", "--antithetic", "--paths", "2501", "--steps", "64",
+              "--seed", "7"]
+    bias = ["bias", "--steps-grid", "16,64", "--paths", "2501", "--seed", "7"]
     ok = True
-    for argv in (base, sweep):
+    for argv in (base, sweep, greeks, bias):
         outputs = {capture(argv + ["--threads", th]) for th in ("1", "2", "4")}
         outputs.add(capture(argv + ["--threads", "1"]))
         ok = ok and len(outputs) == 1

@@ -81,6 +81,8 @@ def test_nonfinite_input_exits_two_naming_the_parameter(argv, message):
     (("price", "--method", "fd"), "--method fd"),
     (("greeks", "--method", "fd"), "--method fd"),
     (("kernel", "--a", "1", "--order", "1", "--nu", "2"), "--nu"),
+    (("greeks", "--threads", "0"), "--threads"),
+    (("sweep", "--quantity", "cdf", "--grid", "a=1", "--threads", "-3"), "--threads"),
 ])
 def test_choice_the_quantity_does_not_take_exits_two(argv, option):
     code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")

@@ -1,6 +1,7 @@
 """Asian call price and Greeks: closed forms, exact relations, FD oracles."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -123,7 +124,7 @@ def test_fd_delta_value_is_stable(fig_env):
 def test_price_identity_vs_naive_at_1e6():
     # naive Monte Carlo price oracle at 10^6 paths, shared increments
     cfg = MCConfig(1_000_000, 1024, 42)
-    ens = am.sample_ensemble(1.0, (0.0,), cfg)
+    ens = am.sample_ensemble(1.0, (0.0,), cfg, threads=os.cpu_count())
     pi = am.price(FIG_CONFIG, cfg, "identity", ensemble=ens)
     pn = am.price(FIG_CONFIG, cfg, "naive", ensemble=ens)
     assert abs(pi.mean - pn.mean) <= 3 * comb_se(pi, pn)

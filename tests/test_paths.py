@@ -2,7 +2,10 @@
 
 import ast
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 import asianmc
 from asianmc import MCConfig, PathSample, default_steps, sample_batch, sample_ensemble, sample_path
+from asianmc.bench import SweepSpec, quadrature_bias_report, run_sweep
 from asianmc.greeks import _moved_keys
 
 CFG = MCConfig(n_paths=2048, n_steps=64, master_seed=42)
@@ -96,6 +100,54 @@ def test_thread_count_does_not_change_results():
     for nu in (0.0, 1.0):
         np.testing.assert_array_equal(serial[nu].terminal, threaded[nu].terminal)
         np.testing.assert_array_equal(serial[nu].integral, threaded[nu].integral)
+    # a Greek report with its FD checks and a nested-grid bias report at
+    # 2,501 paths: three chunks, the last one odd; three workers on shared
+    # result arrays, switching often
+    spec = asianmc.OptionSpec(1.0, 1.1, 1.0, 0.03, 1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for antithetic in (False, True):
+            cfg = MCConfig(2501, 64, 7, antithetic)
+            reports = []
+            for threads in (None, 2, 3):
+                rep = asianmc.greek_report(spec, cfg, fd_check=True, threads=threads)
+                ests = [rep.price, rep.delta, rep.gamma, rep.theta, rep.vega,
+                        *rep.fd_cross_checks.values()]
+                reports.append(([(e.mean, e.stderr, e.flags) for e in ests],
+                                quadrature_bias_report(1.0, 1.0, (16, 64), cfg, threads=threads)))
+            assert reports[1] == reports[0] and reports[2] == reports[0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_chunk_pool_shape(monkeypatch):
+    # W = min(threads, chunks) workers: the calling thread runs one stripe
+    # and a pool of W - 1 threads the others; serial calls build no pool
+    pools = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(asianmc.paths, "ThreadPoolExecutor", Recorder)
+    cfg = MCConfig(2501, 8, 42)  # three chunks
+    for threads, made in ((None, []), (1, []), (2, [1]), (8, [2])):
+        pools.clear()
+        asianmc.paths._simulate([(1.0, 0.0, 1)], cfg, threads)
+        assert pools == made, threads
+    with pytest.raises(ValueError, match="threads"):
+        asianmc.paths._simulate([(1.0, 0.0, 1)], cfg, 0)
+    # a sweep runs its groups in turn: two groups of one chunk start no
+    # thread, whatever pool would start it
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th) or start(th))
+    spec = SweepSpec("cdf", {"a": (1.0,), "t": (0.5, 1.0)}, (64,), (1,), ("naive",), 8)
+    pools.clear()
+    assert len(run_sweep(spec, threads=2).rows) == 2
+    assert pools == [] and started == []
 
 
 def test_ensemble_shares_increments_across_drifts():
