@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import estimators, greeks  # greeks adds its rows to QUANTITIES
-from .estimators import QUANTITIES, Estimate, _wrap, shared_ensemble, stable_exp_rate
+from .estimators import QUANTITIES, Estimate, _shared_ensembles, _wrap, stable_exp_rate
 from .paths import NONNEGATIVE, MCConfig, _simulate, check_param, default_steps
 
 
@@ -134,9 +134,11 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
 
     Rows that raise are recorded with their error message so one bad cell
     (for example a tail-underflow region) cannot abort a whole sweep.
-    Work is grouped by shared path ensemble and the groups run in turn;
-    ``threads`` spreads each group's draw over worker threads as in
-    :func:`~asianmc.paths.sample_ensemble` (None, the default, is serial).
+    Work is grouped by shared path ensemble and the groups are evaluated in
+    turn.  ``threads`` (None, the default, is serial) spreads the groups'
+    draws over worker threads: consecutive groups are drawn together until
+    their chunks fill the workers, so groups of one chunk are drawn in
+    parallel too.
     """
     q = QUANTITIES[spec.quantity]
     # (horizon, n_paths, n_steps, seed) -> {point: public-function arguments};
@@ -150,28 +152,20 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
                 key = (horizon, n, spec.n_steps or default_steps(horizon), seed)
                 groups.setdefault(key, {})[pt] = args
 
-    def run_group(item) -> list[SweepRow]:
-        (horizon, n, steps, seed), pts = item
-        cfg = MCConfig(n_paths=n, n_steps=steps, master_seed=seed,
-                       antithetic=spec.antithetic)
-        try:
-            ens = shared_ensemble(horizon, cfg, [
-                (spec.quantity, m, args) for args in pts.values() for m in spec.methods],
-                threads=threads)
-        except ValueError:
-            ens = None  # then every call below meets the same error itself
-        rows: list[SweepRow] = []
+    todo = [(MCConfig(n_paths=n, n_steps=steps, master_seed=seed, antithetic=spec.antithetic),
+             pts) for (_, n, steps, seed), pts in sorted(groups.items())]
+    ensembles = _shared_ensembles(((cfg, [(spec.quantity, m, args) for args in pts.values()
+                                          for m in spec.methods]) for cfg, pts in todo), threads)
+    rows: list[SweepRow] = []
+    for (cfg, pts), ens in zip(todo, ensembles):
         for pt, args in pts.items():
             for method in spec.methods:
                 try:
                     est = estimators.estimate(spec.quantity, args, cfg, method, ens)
-                    rows.append(SweepRow(pt, n, method, seed, est))
+                    rows.append(SweepRow(pt, cfg.n_paths, method, cfg.master_seed, est))
                 except Exception as exc:
-                    rows.append(SweepRow(pt, n, method, seed, None, str(exc)))
-        return rows
-
-    rows = sorted((row for item in sorted(groups.items()) for row in run_group(item)),
-                  key=lambda r: r.sort_key)
+                    rows.append(SweepRow(pt, cfg.n_paths, method, cfg.master_seed, None, str(exc)))
+    rows.sort(key=lambda r: r.sort_key)
     return SweepResult(spec=spec, rows=tuple(rows))
 
 

@@ -32,6 +32,11 @@ CSV_HEADER = (
     "expiry", "n_paths", "n_steps", "seed", "estimate", "stderr", "wall_ms", "flags",
 )
 
+# --threads default: one per CPU this process may run on (its affinity mask),
+# not one per core of the host
+DEFAULT_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+
 _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_DOMAIN = 2
@@ -102,9 +107,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="both", help="estimator family")
     p.add_argument("--antithetic", action="store_true", default=False,
                    help="pair path 2k+1 with the negated increments of path 2k")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=int, default=DEFAULT_THREADS,
                    help="worker threads over which each command spreads its chunks of "
-                        "paths, one per core by default; results do not depend on this")
+                        "paths, one per usable CPU by default; results do not depend on this")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output file (default: standard output)")
     p.add_argument("--format", choices=("csv", "pretty"), default="csv",

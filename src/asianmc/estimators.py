@@ -34,12 +34,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .paths import (NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _simulate, check_param,
-                    sample_ensemble)
+from .paths import (NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _simulate, _simulate_all,
+                    check_param, sample_ensemble)
 
 NAIVE = "naive"
 IDENTITY = "identity"
@@ -96,7 +96,7 @@ class TransformParams:
 
 def _ensemble_for(
     t: float, keys: Sequence[tuple[float, float]], cfg: MCConfig,
-    ensemble: Mapping | None, *, threads: int | None = None,
+    ensemble: Mapping | None,
 ) -> dict[tuple[float, float], PathBatch]:
     """The batch at each (horizon, drift) key of a call at horizon ``t``,
     keyed by that pair: supplied batches where possible, the rest drawn in
@@ -110,8 +110,7 @@ def _ensemble_for(
     :func:`shared_ensemble`.  A supplied batch the call reads must have been
     drawn with its cfg, and a drift the call reads at ``t`` must not be
     supplied only at other horizons; any other key the ensemble lacks is
-    drawn, its chunks spread over ``threads`` as in
-    :func:`~asianmc.paths.sample_ensemble`.
+    drawn.
     """
     have = {(b.t, b.nu): b for b in ensemble.values()} if ensemble else {}
     for b in have.values():
@@ -121,10 +120,10 @@ def _ensemble_for(
                              f"{b.cfg}, but the call is at t={t} with {cfg}")
     missing = [key for key in keys if key not in have]
     if len({h for h, _ in missing}) == 1:  # the public sampler checks t and the drifts
-        drawn = sample_ensemble(missing[0][0], [nu for _, nu in missing], cfg, threads).values()
+        drawn = sample_ensemble(missing[0][0], [nu for _, nu in missing], cfg).values()
         have.update(((b.t, b.nu), b) for b in drawn)
     elif missing:
-        grids = _simulate(((h, nu, 1) for h, nu in missing), cfg, threads)
+        grids = _simulate(((h, nu, 1) for h, nu in missing), cfg)
         have.update(((h, nu), PathBatch(h, nu, *grids[h, nu, 1], cfg)) for h, nu in missing)
     return have
 
@@ -460,6 +459,26 @@ def estimate(quantity: str, args: Mapping, cfg: MCConfig, method: str,
     return fn(**args, cfg=cfg, method=method, ensemble=ensemble, **options)
 
 
+def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float]]:
+    """The sorted (horizon, drift) keys the ``(quantity, method, args)`` calls
+    read.  A call whose arguments or method the quantity rejects, or that
+    reads a key the path core cannot draw (a negative horizon), adds no key;
+    made with the ensemble, it raises its own error."""
+    keys: set[tuple[float, float]] = set()
+    for quantity, method, args in calls:
+        q = QUANTITIES[quantity]
+        try:
+            q.check(args)
+            reads = q.keys(method, args) if method in q.methods else ()
+            for h, nu in reads:
+                check_param("time t", h, NONNEGATIVE)
+                check_param("drift nu", nu)
+        except ValueError:
+            continue
+        keys.update(reads)
+    return sorted(keys)
+
+
 def shared_ensemble(horizon: float, cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
                     *, threads: int | None = None) -> dict[tuple, PathBatch]:
     """One ensemble, keyed by (horizon, drift), with every key the
@@ -468,19 +487,23 @@ def shared_ensemble(horizon: float, cfg: MCConfig, calls: Iterable[tuple[str, st
     ``threads`` spreads that draw's chunks over worker threads as in
     :func:`~asianmc.paths.sample_ensemble`; None (the default) is serial.
 
-    Calls whose arguments or method the quantity rejects add no key; made
-    with this ensemble, they raise their own error.
+    Calls whose arguments or method the quantity rejects, or that read a
+    negative horizon, add no key; made with this ensemble, they raise their
+    own error.
     """
-    keys: set[tuple[float, float]] = set()
-    for quantity, method, args in calls:
-        q = QUANTITIES[quantity]
-        try:
-            q.check(args)
-        except ValueError:
-            continue
-        if method in q.methods:
-            keys.update(q.keys(method, args))
-    return _ensemble_for(horizon, sorted(keys), cfg, None, threads=threads)
+    return next(_shared_ensembles([(cfg, calls)], threads))
+
+
+def _shared_ensembles(groups: Iterable[tuple[MCConfig, Iterable[tuple[str, str, Mapping]]]],
+                      threads: int | None = None) -> Iterator[dict[tuple, PathBatch]]:
+    """The :func:`shared_ensemble` of each ``(cfg, calls)`` group, in turn.
+
+    All groups are drawn by one :func:`~asianmc.paths._simulate_all`, so the
+    chunks of consecutive small groups share the ``threads`` workers."""
+    groups = [(cfg, _call_keys(calls)) for cfg, calls in groups]
+    grids = _simulate_all(((((h, nu, 1) for h, nu in keys), cfg) for cfg, keys in groups), threads)
+    for (cfg, keys), grid in zip(groups, grids):
+        yield {(h, nu): PathBatch(h, nu, *grid[h, nu, 1], cfg) for h, nu in keys}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ bit for bit and path ``i`` never depends on how many other paths were asked
 for.  Each call may spread its chunks over worker threads (``threads``,
 serial by default): chunk c goes to worker c mod W, the calling thread
 runs worker 0's chunks itself, and each chunk writes only its own rows.
+Several small draws, such as a sweep's one-chunk groups, may be made in one
+call, so that their chunks share the workers.
 Every horizon, drift and nested grid read in one call comes from the
 same normals, drawn once per chunk: a horizon t rescales them to variance
 t / n_steps, a drift multiplies that horizon's grid by exp(nu s), and a
@@ -42,6 +44,10 @@ import numpy as np
 PATHS_PER_CHUNK = 1024
 # normals per row block of a chunk: the block and one grid of it fit in L2
 BLOCK_ELEMENTS = 1 << 16
+# chunks per worker thread that _simulate_all gathers from consecutive small
+# draws before it runs them: a window ends with about one chunk of idle time
+# per worker, small against this many
+WINDOW_CHUNKS_PER_WORKER = 16
 
 DEFAULT_SEED = 42
 STEPS_PER_UNIT_TIME = 1024
@@ -212,50 +218,75 @@ def _functionals_from_normals(
     return out
 
 
-def _simulate(
-    keys: Iterable[tuple[float, float, int]], cfg: MCConfig, threads: int | None = None
-) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
-    """(terminal, integral) arrays of cfg.n_paths paths for each (t, nu, k) key.
+def _simulate_all(
+    draws: Iterable[tuple[Iterable[tuple[float, float, int]], MCConfig]],
+    threads: int | None = None,
+) -> Iterator[dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]]:
+    """For each ``(keys, cfg)`` draw in turn, the (terminal, integral) arrays
+    of cfg.n_paths paths at each of its (t, nu, k) keys.
 
     The one chunk loop: each chunk's normals are drawn once, one row block at
     a time (see :func:`_chunk_normals`), every key is read from each block
     (see :func:`_functionals_from_normals`) and its rows are written into the
     results before the next block is drawn.  The last chunk draws only the
-    rows it needs.  ``threads`` (None or 1: serial) spreads the chunks over
-    W = min(threads, n_chunks) workers in stripes: worker w evaluates chunks
-    w, w + W, ...  The calling thread runs stripe 0 itself and a pool of
-    W - 1 threads runs the others; each chunk writes only its own rows of
-    the results, so the values do not depend on ``threads``.
+    rows it needs, and a draw with no keys draws nothing.  Consecutive draws
+    are taken together until their chunks number at least
+    :data:`WINDOW_CHUNKS_PER_WORKER` per worker, and the (draw, chunk) items
+    of such a window are spread over W = min(threads, items) workers in
+    stripes (``threads`` None or 1: serial): worker w evaluates items w,
+    w + W, ...  The calling thread runs stripe 0 itself and a pool of W - 1
+    threads runs the others.  So the chunks of small draws, such as a
+    sweep's one-chunk groups, fill the workers together, and one window's
+    results are all that is held at a time.  Each chunk writes only its own
+    rows of the results, so the values do not depend on ``threads``.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    keys = tuple(dict.fromkeys(keys))
-    n = cfg.n_paths
-    out = {key: (np.empty(n), np.empty(n)) for key in keys}
-    n_chunks = (n + PATHS_PER_CHUNK - 1) // PATHS_PER_CHUNK
-    workers = min(threads or 1, n_chunks)
 
-    def run_chunk(c: int) -> None:
+    def run_chunk(keys, cfg: MCConfig, out: dict, c: int) -> None:
         first = c * PATHS_PER_CHUNK
-        rows = min(PATHS_PER_CHUNK, n - first)
+        rows = min(PATHS_PER_CHUNK, cfg.n_paths - first)
         for lo, z in _chunk_normals(cfg.master_seed, c, cfg.n_steps, cfg.antithetic, rows):
             at = slice(first + lo, first + lo + len(z))
             for key, (tv, iv) in _functionals_from_normals(z, keys).items():
                 out[key][0][at] = tv
                 out[key][1][at] = iv
 
-    def run_stripe(w: int) -> None:
-        for c in range(w, n_chunks, workers):
-            run_chunk(c)  # its return frees the chunk's block buffer before the next draw
+    def run_stripe(stripe: list) -> None:
+        for item in stripe:
+            run_chunk(*item)  # its return frees the chunk's block buffer before the next draw
 
-    if workers == 1:
-        run_stripe(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = pool.map(run_stripe, range(1, workers))
-            run_stripe(0)
-            list(others)  # re-raises a worker's error
-    return out
+    def run_window(items: list) -> None:
+        workers = max(1, min(threads or 1, len(items)))
+        if workers == 1:
+            run_stripe(items)
+        else:
+            with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+                others = pool.map(run_stripe, (items[w::workers] for w in range(1, workers)))
+                run_stripe(items[::workers])
+                list(others)  # re-raises a worker's error
+
+    window, items = [], []
+    for keys, cfg in draws:
+        keys = tuple(dict.fromkeys(keys))
+        window.append({key: (np.empty(cfg.n_paths), np.empty(cfg.n_paths)) for key in keys})
+        chunks = range((cfg.n_paths - 1) // PATHS_PER_CHUNK + 1 if keys else 0)
+        items += [(keys, cfg, window[-1], c) for c in chunks]
+        if len(items) >= WINDOW_CHUNKS_PER_WORKER * (threads or 1):
+            run_window(items)
+            yield from window
+            window, items = [], []
+    run_window(items)
+    yield from window
+
+
+def _simulate(
+    keys: Iterable[tuple[float, float, int]], cfg: MCConfig, threads: int | None = None
+) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
+    """(terminal, integral) arrays of cfg.n_paths paths for each (t, nu, k)
+    key: the one draw of :func:`_simulate_all`, its chunks spread over
+    ``threads``."""
+    return next(_simulate_all([(keys, cfg)], threads))
 
 
 def sample_ensemble(

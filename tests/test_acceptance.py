@@ -16,7 +16,6 @@ below rely on.
 
 import io
 import math
-import os
 import subprocess
 import sys
 
@@ -26,10 +25,13 @@ import pytest
 import asianmc as am
 from asianmc import MCConfig, OptionSpec
 from asianmc.bench import SweepSpec, quadrature_bias_report, run_sweep
+from asianmc.cli import DEFAULT_THREADS
 from asianmc.estimators import density_identity_values, kernel_d2_identity_values
 from asianmc.greeks import FD, theta_fd_expiry
 
 SEED = 42
+# the 10^6-path draws use the --threads default, at most 8 threads
+THREADS = min(8, DEFAULT_THREADS)
 E = math.e
 
 
@@ -198,7 +200,7 @@ def test_criterion_6_greeks_vs_finite_differences():
     """
     spec = OptionSpec(1.0, 1.0, 1.0, 0.0, 1.0)
     cfg = MCConfig(1_000_000, 1024, SEED)
-    rep = am.greek_report(spec, cfg, fd_check=True, threads=os.cpu_count())
+    rep = am.greek_report(spec, cfg, fd_check=True, threads=THREADS)
     fd = rep.fd_cross_checks
     h_gamma = 0.05 * spec.s0
     failures = []

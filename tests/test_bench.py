@@ -68,13 +68,16 @@ def test_single_point_sweep_matches_direct_calls():
                 (direct.mean, direct.stderr, direct.flags), (quantity, row.method)
 
 
-def test_rerun_is_bit_identical_and_thread_independent():
+def test_rerun_is_bit_identical_and_thread_independent(monkeypatch):
     spec = SweepSpec("call_kernel", {"a": (0.5, 1.0), "t": (0.5, 1.0)},
                      (500, 1000), (1, 2), ("naive", "identity"), n_steps=64)
     r1 = run_sweep(spec)
     r2 = run_sweep(spec)
     r3 = run_sweep(spec, threads=4)
-    for a, b in ((r1, r2), (r1, r3)):
+    # eight one-chunk groups drawn two at a time: four windows
+    monkeypatch.setattr(am.paths, "WINDOW_CHUNKS_PER_WORKER", 1)
+    r4 = run_sweep(spec, threads=2)
+    for a, b in ((r1, r2), (r1, r3), (r1, r4)):
         assert len(a.rows) == len(b.rows)
         for x, y in zip(a.rows, b.rows):
             assert x.sort_key == y.sort_key

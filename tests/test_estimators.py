@@ -13,7 +13,6 @@ tests at the end of this file pin that behavior of the literal routes
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 
 import asianmc as am
 from asianmc import MCConfig, PathBatch, TransformParams
+from asianmc.cli import DEFAULT_THREADS
 from asianmc.estimators import (
     Estimate,
     density_identity_values,
@@ -31,6 +31,8 @@ from asianmc.estimators import (
 )
 
 E = math.e
+# the 10^6-path draws use the --threads default, at most 8 threads
+THREADS = min(8, DEFAULT_THREADS)
 
 
 def comb_se(e1, e2):
@@ -185,7 +187,7 @@ def test_tilted_cdf_matches_naive_for_drifted_integral(ens_t1):
 def test_kernel_cross_validation_at_figure_config_1e6():
     # the paper's variance-comparison configuration, naive oracle at 1e6 paths
     cfg = MCConfig(1_000_000, 512, 42)
-    ens = am.sample_ensemble(0.5, (0.0,), cfg, threads=os.cpu_count())
+    ens = am.sample_ensemble(0.5, (0.0,), cfg, threads=THREADS)
     ki = am.call_kernel(0.4, 0.5, 0.0, cfg, "identity", ensemble=ens)
     kn = am.call_kernel(0.4, 0.5, 0.0, cfg, "naive", ensemble=ens)
     assert abs(ki.mean - kn.mean) <= 3 * comb_se(ki, kn)
@@ -235,7 +237,7 @@ def test_d1_matches_fd_of_kernel_with_crn_at_1e6():
     # identity-family derivative against a common-random-number central
     # difference of the identity kernel, h = 1e-2
     cfg = MCConfig(1_000_000, 1024, 42)
-    ens = am.sample_ensemble(1.0, (0.0,), cfg, threads=os.cpu_count())
+    ens = am.sample_ensemble(1.0, (0.0,), cfg, threads=THREADS)
     d1 = am.call_kernel_d1(1.0, 1.0, cfg, "identity", ensemble=ens)
     h = 0.01
     vals = (kernel_identity_values(ens[0.0], 1.0 + h, 0.0)

@@ -139,15 +139,18 @@ def test_chunk_pool_shape(monkeypatch):
         assert pools == made, threads
     with pytest.raises(ValueError, match="threads"):
         asianmc.paths._simulate([(1.0, 0.0, 1)], cfg, 0)
-    # a sweep runs its groups in turn: two groups of one chunk start no
-    # thread, whatever pool would start it
+    # a sweep draws its groups through the same pool: two one-chunk groups
+    # are drawn together on two workers, so the one pool of one thread is
+    # the only thread started, whatever pool would start another
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th) or start(th))
     spec = SweepSpec("cdf", {"a": (1.0,), "t": (0.5, 1.0)}, (64,), (1,), ("naive",), 8)
     pools.clear()
     assert len(run_sweep(spec, threads=2).rows) == 2
-    assert pools == [] and started == []
+    assert pools == [1] and len(started) == 1
+    with pytest.raises(ValueError, match="threads"):
+        run_sweep(spec, threads=0)
 
 
 def test_ensemble_shares_increments_across_drifts():
