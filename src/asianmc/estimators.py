@@ -188,8 +188,16 @@ def split_weight(batch: PathBatch, a: float) -> tuple[np.ndarray, np.ndarray]:
     functionals: the drifted identity is the driftless one after a change
     of drift, and changing the drift back turns its tail into the same
     event on the drifted functionals.
+
+    The batch keeps the last split built on it, so every curve read at one
+    (batch, a) shares one exp: a second call with the same batch and
+    threshold returns the same two arrays.  They are read-only, and a
+    builder allocates its output rather than writing into them.
     """
-    # One float buffer per call, updated in place: the estimators run on
+    cached = batch._split
+    if cached is not None and cached[0] == a:
+        return cached[1], cached[2]
+    # One float buffer per split, updated in place: the estimators run on
     # dense threshold grids, where temporaries cost as much as the arithmetic.
     x, integ = batch.terminal, batch.integral
     body = x * a
@@ -205,6 +213,8 @@ def split_weight(batch: PathBatch, a: float) -> tuple[np.ndarray, np.ndarray]:
     np.minimum(body, 0.0, out=body)
     np.exp(body, out=body)
     body *= keep
+    body.flags.writeable = tail.flags.writeable = False
+    object.__setattr__(batch, "_split", (a, body, tail))
     return body, tail
 
 
@@ -221,9 +231,8 @@ def cdf_identity_values(batch: PathBatch, a: float) -> np.ndarray:
         factor = batch.integral + a
         np.divide(a, factor, out=factor)
         factor **= 2.0 * batch.nu
-        body *= factor
-    body += tail
-    return body
+        body = np.multiply(body, factor, out=factor)
+    return body + tail
 
 
 def tilted_cdf_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray:
@@ -261,17 +270,17 @@ def kernel_identity_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray
     np.divide(a, scratch, out=scratch)
     if nu != 0.0:
         scratch **= 2.0 * nu + 1.0
-    body *= scratch
-    body *= a
+    values = body * scratch
+    values *= a
     np.subtract(a, integ, out=scratch)
     scratch *= tail
-    body += scratch
+    values += scratch
     if nu != 0.0:
         np.power(m, nu, out=scratch)
         scratch *= math.exp(nu * t / 2.0 - nu * nu * t / 2.0)
-        body *= scratch
-    body += stable_exp_rate(nu, t) - a
-    return body
+        values *= scratch
+    values += stable_exp_rate(nu, t) - a
+    return values
 
 
 def kernel_d2_identity_values(batch0: PathBatch, a: float) -> np.ndarray:
@@ -288,12 +297,12 @@ def kernel_d2_identity_values(batch0: PathBatch, a: float) -> np.ndarray:
     np.divide(m, scratch, out=scratch)
     scratch *= -2.0
     scratch += c
-    body *= scratch
+    values = body * scratch
     np.subtract(1.0, m, out=scratch)
     scratch *= c
     scratch *= tail
-    body += scratch
-    return body
+    values += scratch
+    return values
 
 
 def density_identity_values(batch0: PathBatch, batch1: PathBatch, a: float) -> np.ndarray:
@@ -339,10 +348,9 @@ def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
     bound += 1.0
     bound *= bound
     bound *= b
-    body *= m <= bound
-    tail &= m <= b
-    body += tail
-    return body
+    values = body * (m <= bound)
+    values += tail & (m <= b)
+    return values
 
 
 def _kernel_d1_identity_values(ens, a, t, **_) -> np.ndarray:

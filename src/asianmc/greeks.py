@@ -136,13 +136,13 @@ def delta_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
     body, tail = split_weight(batch0, a)
     scratch = integ + a
     np.divide(integ, scratch, out=scratch)
-    body *= scratch
+    values = body * scratch
     np.divide(integ, a, out=scratch)
     scratch *= tail
-    body += scratch
-    body *= -(spec.strike / spec.s0) * spec.discount
-    body += spec.discount
-    return body
+    values += scratch
+    values *= -(spec.strike / spec.s0) * spec.discount
+    values += spec.discount
+    return values
 
 
 def gamma_identity_values(spec: OptionSpec, batch0: PathBatch, batch1: PathBatch) -> np.ndarray:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -125,6 +125,8 @@ class PathBatch:
     terminal: np.ndarray
     integral: np.ndarray
     cfg: MCConfig
+    # (a, body, tail) of the last estimators.split_weight on this batch
+    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.terminal.flags.writeable = False

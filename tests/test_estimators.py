@@ -12,7 +12,11 @@ tests at the end of this file pin that behavior of the literal routes
 (cdf_weighted) explicitly rather than hiding it.
 """
 
+import gc
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from asianmc.estimators import (
     density_identity_values,
     kernel_d2_identity_values,
     kernel_identity_values,
+    split_weight,
     tilted_cdf_values,
 )
 
@@ -473,3 +478,126 @@ def test_naive_kernel_monotone_in_threshold_pathwise(seed):
     ks = [am.call_kernel(a, 1.0, 0.0, cfg, "naive", ensemble=ens).mean
           for a in (0.3, 0.6, 1.0, 2.0)]
     assert all(x >= y for x, y in zip(ks, ks[1:]))
+
+
+# ---------------------------------------------------------------------------
+# one split per (batch, threshold)
+# ---------------------------------------------------------------------------
+
+
+def test_split_is_shared_per_batch_and_threshold():
+    ens = am.sample_ensemble(1.0, (0.0, 1.0), MCConfig(1500, 16, 3))
+    body, tail = split_weight(ens[0.0], 1.0)
+    again = split_weight(ens[0.0], 1.0)
+    assert again[0] is body and again[1] is tail
+    for other in (split_weight(ens[0.0], 2.0), split_weight(ens[1.0], 1.0)):
+        assert other[0] is not body and other[1] is not tail
+    for array in split_weight(ens[0.0], 1.0):
+        assert array is not body and array is not tail
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+def _identity_routes(ens, cfg, a):
+    """Every identity estimate at threshold a on the t = 1, drifts {0, 1}
+    ensemble, each as a call still to be made."""
+    spec = am.OptionSpec(1.0, a, 1.0, 0.03, 1.0)  # horizon 1, scale_a = a
+    return [
+        lambda: am.cdf(a, 1.0, 0.0, cfg, ensemble=ens),
+        lambda: am.cdf(a, 1.0, 1.0, cfg, ensemble=ens),
+        lambda: am.density(a, 1.0, cfg, ensemble=ens),
+        lambda: am.joint_cdf(1.0, a, 1.0, cfg, ensemble=ens),
+        lambda: am.call_kernel(a, 1.0, 0.0, cfg, ensemble=ens),
+        lambda: am.call_kernel(a, 1.0, 0.5, cfg, ensemble=ens),
+        lambda: am.call_kernel_d1(a, 1.0, cfg, ensemble=ens),
+        lambda: am.call_kernel_d2(a, 1.0, cfg, ensemble=ens),
+        *(lambda fn=fn: fn(spec, cfg, ensemble=ens)
+          for fn in (am.price, am.delta, am.gamma, am.theta, am.vega)),
+    ]
+
+
+def test_call_order_moves_no_value():
+    # every identity route reads the split its batch kept from the call
+    # before it, in forward and in reverse order; each must equal the same
+    # call on a freshly drawn ensemble, which has no split yet
+    cfg = MCConfig(1500, 64, 3)  # two chunks
+    thresholds = (0.3, 1.0, 1.0, 4.0, 0.3)
+    n_routes = len(_identity_routes(None, cfg, 1.0))
+
+    def key(e):
+        return e.mean, e.stderr, e.flags
+
+    fresh = {(a, i): key(_identity_routes(am.sample_ensemble(1.0, (0.0, 1.0), cfg), cfg, a)[i]())
+             for a in set(thresholds) for i in range(n_routes)}
+    calls = [(a, i) for a in thresholds for i in range(n_routes)]
+    shared = am.sample_ensemble(1.0, (0.0, 1.0), cfg)
+    for order in (calls, calls[::-1]):
+        for a, i in order:
+            assert key(_identity_routes(shared, cfg, a)[i]()) == fresh[a, i], (a, i)
+
+
+def test_threads_sharing_a_batch_get_the_serial_values():
+    ens = am.sample_ensemble(1.0, (0.0,), MCConfig(8192, 16, 5))
+    cfg = ens[0.0].cfg
+    thresholds = (0.5, 2.0)
+    serial = {a: am.cdf(a, 1.0, 0.0, cfg, ensemble=ens) for a in thresholds}
+    results = [[], []]
+
+    def worker(out, offset):
+        for k in range(200):
+            a = thresholds[(k + offset) % 2]
+            out.append((a, am.cdf(a, 1.0, 0.0, cfg, ensemble=ens)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=worker, args=(out, i)) for i, out in enumerate(results)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for out in results:
+        assert len(out) == 200
+        for a, e in out:
+            assert (e.mean, e.stderr) == (serial[a].mean, serial[a].stderr), a
+
+
+def test_dense_threshold_grid_keeps_one_split_per_batch():
+    # the distribution demo's traffic: every curve, both methods, at each
+    # threshold of a dense grid; afterwards each batch holds at most one
+    # split (n floats and n bools), however many thresholds were read
+    cfg = MCConfig(32768, 16, 9)
+    ens = am.sample_ensemble(1.0, (0.0, 1.0), cfg)
+    grid = [0.05 * k for k in range(1, 201)]
+
+    def curves(a):
+        for m in ("naive", "identity"):
+            am.cdf(a, 1.0, 0.0, cfg, m, ensemble=ens)
+            am.cdf(a, 1.0, 1.0, cfg, m, ensemble=ens)
+            am.density(a, 1.0, cfg, m, ensemble=ens)
+            am.joint_cdf(1.0, a, 1.0, cfg, m, ensemble=ens)
+            am.call_kernel(a, 1.0, 0.0, cfg, m, ensemble=ens)
+            am.call_kernel_d1(a, 1.0, cfg, m, ensemble=ens)
+            am.call_kernel_d2(a, 1.0, cfg, m, ensemble=ens)
+
+    def retained():
+        # live blocks of 4 KiB and more: the interpreter's free lists keep
+        # freed small objects, which tracemalloc counts as live
+        gc.collect()
+        return sum(tr.size for tr in tracemalloc.take_snapshot().traces if tr.size >= 4096)
+
+    tracemalloc.start()
+    try:
+        before = retained()
+        curves(grid[0])
+        after_one = retained() - before
+        for a in grid[1:]:
+            curves(a)
+        after_all = retained() - before
+    finally:
+        tracemalloc.stop()
+    assert after_one <= 2 * cfg.n_paths * (8 + 1), after_one
+    assert after_all <= after_one, (after_one, after_all)
