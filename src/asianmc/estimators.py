@@ -69,8 +69,8 @@ class Estimate:
             raise ValueError("n_paths must be >= 1")
         if not math.isfinite(self.mean):
             raise ValueError(f"estimate mean is not finite: {self.mean}")
-        if self.stderr < 0:
-            raise ValueError("stderr must be nonnegative")
+        if not self.stderr >= 0:  # NaN fails this too
+            raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
 
     def combined_stderr(self, other: "Estimate") -> float:
         return math.hypot(self.stderr, other.stderr)
@@ -453,9 +453,15 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
         raise ValueError("an MCConfig is required")
     if method not in q.methods:
         raise ValueError(f"unknown method {method!r}")
-    ens = _ensemble_for(q.horizon(args), q.keys(method, args), cfg, ensemble)
+    horizon = q.horizon(args)
+    ens = _ensemble_for(horizon, q.keys(method, args), cfg, ensemble)
     out = q.methods[method][1](ens, **args)
     values, mean, flags = out if isinstance(out, tuple) else (out, None, ())
+    dt = horizon / cfg.n_steps
+    if "a" in args and args["a"] <= dt / 2:
+        # every trapezoid integral is at least dt/2, since X_0 = 1: the grid
+        # cannot resolve a threshold this low
+        flags += (f"coarse-grid(dt={dt:.17g})",)
     return _wrap(values, method, started, flags, mean)
 
 

@@ -19,22 +19,28 @@ runs worker 0's chunks itself, and each chunk writes only its own rows.
 Several small draws, such as a sweep's one-chunk groups, may be made in one
 call, so that their chunks share the workers.
 Every horizon, drift and nested grid read in one call comes from the
-same normals, drawn once per chunk: a horizon t rescales them to variance
-t / n_steps, a drift multiplies that horizon's grid by exp(nu s), and a
-nested grid is the trapezoid over every k-th point of it.  So the values at
-one (t, nu) are bit for bit those of a separate call at that (t, nu), with
-whatever other horizons, drifts or grids are read beside them; a Greek
-report reads its two drifts at T and the FD vega's two moved horizons in
-one call.  A chunk is drawn and evaluated one row block at a time, the
-block sized so that its normals and one grid fit in a core's L2 cache
-together; each horizon's grid is built in place in one buffer per block.
-So a chunk holds one block of normals and one block grid, and another block
-grid only for a drift that is neither 0 nor the last at its horizon.
+same normals, drawn once per chunk, and from one walk, their running sum
+taken once: a horizon t scales the walk by sqrt(t / n_steps), a drift
+multiplies that horizon's grid by exp(nu s), and a nested grid is the
+trapezoid over every k-th point of it.  So the values at one (t, nu) are
+bit for bit those of a separate call at that (t, nu), with whatever other
+horizons, drifts or grids are read beside them; a Greek report reads its
+two drifts at T and the FD vega's two moved horizons in one call.  Scaling
+after the sum, sqrt(dt) * sum(z), rounds differently from summing scaled
+steps, sum(sqrt(dt) * z): the two agree bit for bit when sqrt(dt) is a power
+of two (every default grid of a horizon t >= 1/4 with 1024 t an integer) and
+to about 1e-13 relative otherwise.  A chunk is drawn and evaluated one row
+block at a time, the block sized so that its normals and one grid fit in a
+core's L2 cache together; the walk replaces the block's normals, and each
+horizon's grid is built in place in one buffer per block.  So a chunk holds
+one block of normals and one block grid, and another block grid only for a
+drift that is neither 0 nor the last at its horizon.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -83,11 +89,16 @@ class MCConfig:
     """Cost and reproducibility contract for one Monte Carlo run.
 
     Attributes:
-        n_paths: number of simulated paths (>= 1).
-        n_steps: grid points per path; uniform spacing dt = t / n_steps.
-        master_seed: 64-bit seed all per-chunk generators derive from.
+        n_paths: number of simulated paths, an integer >= 1.
+        n_steps: grid points per path, an integer; uniform spacing
+            dt = t / n_steps.
+        master_seed: unsigned 64-bit integer seed all per-chunk generators
+            derive from.
         antithetic: when set, path 2k+1 uses the negated increments of
             path 2k.
+
+    ``n_paths``, ``n_steps`` and ``master_seed`` may be Python or numpy
+    integers, nothing else.
     """
 
     n_paths: int
@@ -96,6 +107,11 @@ class MCConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "n_steps", "master_seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
@@ -180,32 +196,33 @@ def _functionals_from_normals(
 ) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
     """(terminal, integral) for each (t, nu, k) key from one block of normals.
 
-    Horizon t scales the increments to variance dt = t / n_steps; drift nu
-    multiplies that horizon's grid by exp(nu s); stride k takes the trapezoid
-    over every k-th grid point, which needs k to divide n_steps.  Each
-    (t, nu) grid is built once, and each horizon's grids are released before
-    the next horizon's are built.
+    The standard walk, the running sum of z, is taken once; horizon t scales
+    it to variance dt = t / n_steps; drift nu multiplies that horizon's grid
+    by exp(nu s); stride k takes the trapezoid over every k-th grid point,
+    which needs k to divide n_steps.  Each (t, nu) grid is built once, and
+    each horizon's grids are released before the next horizon's are built.
 
-    Buffer discipline: a horizon's base grid is one (rows, n_steps + 1)
-    buffer.  z * sqrt(dt) is written straight into it, and the cumsum, the
-    subtraction of s/2 and the exp are taken in place there.  Drift 0 reads
-    the base grid first; the last other drift multiplies it in place, since
-    nothing reads it afterwards; only a drift that is neither gets a copy.
-    So drifts {0} and {0, nu} need one grid of memory, {nu1, nu2} and
-    {0, nu1, nu2} two.
-    The values are those of the out-of-place expressions, bit for bit.
+    Buffer discipline: z is consumed, its rows replaced by their running
+    sums.  A horizon's base grid is one (rows, n_steps + 1) buffer: the walk
+    times sqrt(dt) is written straight into it, and the subtraction of s/2
+    and the exp are taken in place there.  Drift 0 reads the base grid
+    first; the last other drift multiplies it in place, since nothing reads
+    it afterwards; only a drift that is neither gets a copy.  So drifts {0}
+    and {0, nu} need one grid of memory, {nu1, nu2} and {0, nu1, nu2} two.
+    The values are those of the out-of-place expressions with the walk
+    scaled after the sum, sqrt(dt) * cumsum(z), bit for bit.
     """
     plan: dict[float, dict[float, set[int]]] = {}
     for t, nu, k in keys:
         plan.setdefault(t, {}).setdefault(nu, set()).add(k)
     n_steps = z.shape[1]
+    np.cumsum(z, axis=1, out=z)
     out = {}
     for t, drifts in plan.items():
         s = np.linspace(0.0, t, n_steps + 1)
         x0 = np.empty((z.shape[0], n_steps + 1))
         x0[:, 0] = 0.0
-        walk = np.multiply(z, math.sqrt(t / n_steps), out=x0[:, 1:])
-        np.cumsum(walk, axis=1, out=walk)
+        np.multiply(z, math.sqrt(t / n_steps), out=x0[:, 1:])
         x0 -= 0.5 * s
         np.exp(x0, out=x0)
         for i, nu in enumerate(sorted(drifts, key=bool)):  # drift 0 first
@@ -216,7 +233,7 @@ def _functionals_from_normals(
                 dt_k = t / (n_steps // k)
                 integral = dt_k * (xs.sum(axis=1) - 0.5 * xs[:, 0] - 0.5 * xs[:, -1])
                 out[t, nu, k] = (np.ascontiguousarray(xs[:, -1]), integral)
-        del x0, x, xs, walk  # no view may keep this horizon's grid alive into the next
+        del x0, x, xs  # no view may keep this horizon's grid alive into the next
     return out
 
 

@@ -219,6 +219,22 @@ def test_cdf_drift_tilt_flag_appears():
     assert float(rows[0]["estimate"]) == direct.mean
 
 
+def test_coarse_grid_flag_when_the_grid_cannot_resolve_a():
+    # every trapezoid integral is at least dt/2 (X_0 = 1), here 20/8/2 = 1.25,
+    # so naive reads 0 with stderr 0 at a <= 1.25: both rows say so
+    for quantity, a in (("cdf", "1"), ("cdf", "1.25"), ("kernel", "1")):
+        code, out, _ = invoke(quantity, "--a", a, "--t", "20", "--steps", "8", "--paths", "2000")
+        rows = parse(out)
+        assert code == 0 and [r["flags"] for r in rows] == ["coarse-grid(dt=2.5)"] * 2
+        if quantity == "cdf":
+            assert (rows[0]["method"], rows[0]["estimate"], rows[0]["stderr"]) == ("naive", "0", "0")
+    # above dt/2, or on a finer grid, nothing is added
+    for argv in (("--a", "1.26", "--t", "20", "--steps", "8"),
+                 ("--a", "1", "--t", "20", "--steps", "16")):
+        code, out, _ = invoke("cdf", *argv, "--paths", "2000")
+        assert code == 0 and [r["flags"] for r in parse(out)] == ["", ""]
+
+
 def test_greeks_with_fd_check_has_nine_rows():
     code, out, _ = invoke("greeks", "--s0", "1", "--strike", "1", "--sigma", "1",
                           "--rate", "0", "--expiry", "1", "--paths", "2000",

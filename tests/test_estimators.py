@@ -122,6 +122,9 @@ def test_estimate_validation():
         Estimate(float("inf"), 0.0, 10, "naive")
     with pytest.raises(ValueError, match="stderr"):
         Estimate(0.0, -1.0, 10, "naive")
+    # NaN fails every comparison, a "stderr < 0" test included
+    with pytest.raises(ValueError, match="stderr must be nonnegative, got nan"):
+        Estimate(0.0, float("nan"), 10, "naive")
 
 
 def test_transform_rejects_nonfinite_f_with_path_index():

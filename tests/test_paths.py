@@ -31,6 +31,16 @@ def test_rejects_bad_config():
         MCConfig(n_paths=0, n_steps=8)
     with pytest.raises(ValueError, match="n_steps"):
         MCConfig(n_paths=1, n_steps=0)
+    # counts and seed must be integers, named when they are not; a float seed
+    # is not floored
+    for args, name in (((100, 8, 1.5), "master_seed"), ((100.0, 8), "n_paths"),
+                       ((100, 8.0), "n_steps"), ((100, 8, "1"), "master_seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MCConfig(*args)
+    # numpy integers are integers
+    cfg = MCConfig(np.int64(100), np.int32(8), np.uint64(1))
+    batch, plain = sample_batch(1.0, 0.0, cfg), sample_batch(1.0, 0.0, MCConfig(100, 8, 1))
+    np.testing.assert_array_equal(batch.integral, plain.integral)
 
 
 def test_rejects_negative_time_and_bad_index():
@@ -279,17 +289,23 @@ def test_kernel_peak_allocation(drifts, grids):
     assert peak <= grids * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
 
 
-def _whole_chunk_reference(keys, cfg):
-    """The keyed core with each chunk drawn whole: one (1024, n_steps) Philox
-    draw per chunk, fed to the kernel at once."""
-    n = cfg.n_paths
-    out = {key: (np.empty(n), np.empty(n)) for key in keys}
-    for lo in range(0, n, 1024):
+def _whole_chunks(cfg):
+    """(first path, normals) of each chunk drawn whole: one (1024, n_steps)
+    Philox draw per chunk, cut to the paths asked for."""
+    for lo in range(0, cfg.n_paths, 1024):
         ss = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(lo // 1024,))
         z = np.random.Generator(np.random.Philox(ss)).standard_normal((1024, cfg.n_steps))
         if cfg.antithetic:
             z[1::2] = -z[0::2]
-        for key, (tv, iv) in asianmc.paths._functionals_from_normals(z[:n - lo], keys).items():
+        yield lo, z[:cfg.n_paths - lo]
+
+
+def _whole_chunk_reference(keys, cfg):
+    """The keyed core with each chunk drawn whole and fed to the kernel at once."""
+    n = cfg.n_paths
+    out = {key: (np.empty(n), np.empty(n)) for key in keys}
+    for lo, z in _whole_chunks(cfg):
+        for key, (tv, iv) in asianmc.paths._functionals_from_normals(z, keys).items():
             out[key][0][lo:lo + len(tv)] = tv
             out[key][1][lo:lo + len(iv)] = iv
     return out
@@ -310,6 +326,53 @@ def test_streamed_blocks_equal_a_whole_chunk_draw(n_paths, antithetic, n_steps):
     for key, (terminal, integral) in _whole_chunk_reference(keys, cfg).items():
         np.testing.assert_array_equal(streamed[key][0], terminal)
         np.testing.assert_array_equal(streamed[key][1], integral)
+
+
+def _scaled_steps_reference(keys, cfg):
+    """Every key's (terminal, integral) with each horizon's walk summed from
+    scaled steps, cumsum(sqrt(dt) * z), out of place: the other rounding
+    order of the library's sqrt(dt) * cumsum(z)."""
+    n, n_steps = cfg.n_paths, cfg.n_steps
+    out = {key: (np.empty(n), np.empty(n)) for key in keys}
+    for lo, z in _whole_chunks(cfg):
+        for t, nu, k in keys:
+            s = np.linspace(0.0, t, n_steps + 1)
+            x = np.zeros((len(z), n_steps + 1))
+            x[:, 1:] = np.cumsum(z * math.sqrt(t / n_steps), axis=1)
+            x = np.exp(x - 0.5 * s)
+            if nu:
+                x = x * np.exp(nu * s)
+            xs = x[:, ::k]
+            integral = t / (n_steps // k) * (xs.sum(axis=1) - 0.5 * xs[:, 0] - 0.5 * xs[:, -1])
+            out[t, nu, k][0][lo:lo + len(z)] = xs[:, -1]
+            out[t, nu, k][1][lo:lo + len(z)] = integral
+    return out
+
+
+@pytest.mark.parametrize("horizons, n_steps, antithetic", [
+    ("vega 0.5", 512, False), ("vega 1", 1024, True), ("vega 1.5", 1536, False),
+    ((1.0,), 64, True), ((100.0,), 2048, False), ((0.7, 0.3), 48, True)])
+def test_shared_walk_precision_contract(horizons, n_steps, antithetic):
+    # one walk, scaled per horizon: per-path values within 1e-12 relative of
+    # summing scaled steps, and bit for bit where sqrt(dt) is a power of two
+    # (scaling by it is exact); "vega T" is a Greek report's three horizons
+    # at expiry T: T and the FD vega's two sigma-moved ones
+    if isinstance(horizons, str):
+        spec = asianmc.OptionSpec(1.0, 1.0, 1.0, 0.0, float(horizons.split()[1]))
+        horizons = (spec.horizon,) + tuple(t for t, _ in _moved_keys(spec, "sigma", "vega"))
+    keys = [(t, nu, k) for t in horizons for nu in (0.0, 1.0, -0.5) for k in (1, 4)]
+    cfg = MCConfig(1100, n_steps, 7, antithetic)
+    got = asianmc.paths._simulate(keys, cfg)
+    exact = 0
+    for key, want in _scaled_steps_reference(keys, cfg).items():
+        if math.frexp(math.sqrt(key[0] / n_steps))[0] == 0.5:
+            exact += 1
+            np.testing.assert_array_equal(got[key][0], want[0])
+            np.testing.assert_array_equal(got[key][1], want[1])
+        else:
+            np.testing.assert_allclose(got[key][0], want[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got[key][1], want[1], rtol=1e-12, atol=0)
+    assert exact == (6 if n_steps in (512, 1024, 1536, 64) else 0)
 
 
 def test_streamed_chunk_peak_allocation():
