@@ -131,7 +131,7 @@ def _ensemble_for(
 def _wrap(values: np.ndarray, method: str, started: float,
           flags: tuple[str, ...] = (), mean: float | None = None) -> Estimate:
     n = len(values)
-    m = values.mean()
+    m = values.sum() / n  # np.mean's own arithmetic, without its Python wrapper
     stderr = 0.0
     if n > 1:
         dev = values - m
@@ -187,12 +187,17 @@ def split_weight(batch: PathBatch, a: float) -> tuple[np.ndarray, np.ndarray]:
     On a drift-nu batch the same split applies to the batch's own
     functionals: the drifted identity is the driftless one after a change
     of drift, and changing the drift back turns its tail into the same
-    event on the drifted functionals.
+    event on the drifted functionals.  There the body also carries the
+    printed drift factor (a/(a + A))^{2 nu}, built once per split, so it
+    is at most 1 only for nu >= 0; for nu < 0 the factor (1 + A/a)^{2|nu|}
+    is unbounded but has every moment.  Only the CDF identity, and the
+    density and gamma through it, read a drifted split.
 
     The batch keeps the last split built on it, so every curve read at one
-    (batch, a) shares one exp: a second call with the same batch and
-    threshold returns the same two arrays.  They are read-only, and a
-    builder allocates its output rather than writing into them.
+    (batch, a) shares one exp and one drift factor: a second call with the
+    same batch and threshold returns the same two arrays.  They are
+    read-only, and a builder allocates its output rather than writing into
+    them.
     """
     cached = batch._split
     if cached is not None and cached[0] == a:
@@ -213,6 +218,11 @@ def split_weight(batch: PathBatch, a: float) -> tuple[np.ndarray, np.ndarray]:
     np.minimum(body, 0.0, out=body)
     np.exp(body, out=body)
     body *= keep
+    if batch.nu != 0.0:
+        factor = integ + a
+        np.divide(a, factor, out=factor)
+        factor **= 2.0 * batch.nu
+        body *= factor
     body.flags.writeable = tail.flags.writeable = False
     object.__setattr__(batch, "_split", (a, body, tail))
     return body, tail
@@ -221,17 +231,14 @@ def split_weight(batch: PathBatch, a: float) -> tuple[np.ndarray, np.ndarray]:
 def cdf_identity_values(batch: PathBatch, a: float) -> np.ndarray:
     """Split-weight values whose mean estimates Pr[A_t^{(nu)} <= a].
 
-    Body: the printed drift-nu weight (a/(a + A))^{2 nu} e^{Y - 2/a} on
-    {Y <= 2/a}; tail: 1{A < a < A + a X}.  Both on the batch's own drift.
-    For nu >= 0 every value lies in [0, 2]; for nu < 0 the body factor
-    (1 + A/a)^{2|nu|} is unbounded but has every moment.
+    ``body + tail`` of :func:`split_weight`, for every drift: the body is
+    the printed drift-nu weight (a/(a + A))^{2 nu} e^{Y - 2/a} on
+    {Y <= 2/a}, its drift factor built in the split; the tail is
+    1{A < a < A + a X}.  Both on the batch's own drift.  For nu >= 0 every
+    value lies in [0, 2]; for nu < 0 the body factor (1 + A/a)^{2|nu|} is
+    unbounded but has every moment.
     """
     body, tail = split_weight(batch, a)
-    if batch.nu != 0.0:
-        factor = batch.integral + a
-        np.divide(a, factor, out=factor)
-        factor **= 2.0 * batch.nu
-        body = np.multiply(body, factor, out=factor)
     return body + tail
 
 
@@ -327,29 +334,47 @@ def _fd_bandwidth(a: float, bandwidth: float | None) -> float:
 def _density_naive_values(ens, a, t, bandwidth=None, **_) -> np.ndarray:
     h = _fd_bandwidth(a, bandwidth)
     integ = ens[t, 0.0].integral
-    return ((integ <= a + h).astype(float) - (integ <= a - h).astype(float)) / (2.0 * h)
+    values = (integ <= a + h).astype(float)
+    values -= integ <= a - h
+    values /= 2.0 * h
+    return values
+
+
+def _excess(integ, a, h=0.0, out=None) -> np.ndarray:
+    """max((A - a) + h, 0) per path, in one buffer: ``out`` if given."""
+    out = np.subtract(integ, a, out=out)
+    if h:
+        out += h
+    return np.maximum(out, 0.0, out=out)
 
 
 def _kernel_d2_naive_values(ens, a, t, bandwidth=None, **_) -> np.ndarray:
+    # (max(A - a - h, 0) - 2 max(A - a, 0) + max(A - a + h, 0)) / h^2, in
+    # that order, in one output and one scratch buffer
     h = _fd_bandwidth(a, bandwidth)
     integ = ens[t, 0.0].integral
-    return (
-        np.maximum(integ - a - h, 0.0)
-        - 2.0 * np.maximum(integ - a, 0.0)
-        + np.maximum(integ - a + h, 0.0)
-    ) / h**2
+    values = _excess(integ, a, -h)
+    scratch = _excess(integ, a)
+    scratch *= 2.0
+    values -= scratch
+    values += _excess(integ, a, h, out=scratch)
+    values /= h**2
+    return values
 
 
 def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
     batch = ens[t, 0.0]
     m, integ = batch.terminal, batch.integral
     body, tail = split_weight(batch, a)
-    bound = integ / a
-    bound += 1.0
-    bound *= bound
-    bound *= b
-    values = body * (m <= bound)
-    values += tail & (m <= b)
+    values = integ / a  # the bound b (1 + A/a)^2 on M, then the values
+    values += 1.0
+    values *= values
+    values *= b
+    keep = m <= values
+    np.multiply(body, keep, out=values)
+    np.less_equal(m, b, out=keep)
+    keep &= tail
+    values += keep
     return values
 
 
@@ -429,7 +454,7 @@ QUANTITIES: dict[str, Quantity] = {
         IDENTITY: ((0.0,), _joint_identity_values),
     }),
     "call_kernel": Quantity({"a": POSITIVE, "t": None, "nu": None}, {
-        NAIVE: (("nu",), lambda ens, a, t, nu, **_: np.maximum(ens[t, nu].integral - a, 0.0)),
+        NAIVE: (("nu",), lambda ens, a, t, nu, **_: _excess(ens[t, nu].integral, a)),
         IDENTITY: ((0.0,), lambda ens, a, t, nu, **_: kernel_identity_values(ens[t, 0.0], a, nu)),
     }),
     "call_kernel_d1": Quantity({"a": POSITIVE, "t": POSITIVE}, {

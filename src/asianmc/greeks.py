@@ -31,6 +31,7 @@ from .estimators import (
     Quantity,
     _ensemble_for,
     _estimate,
+    _excess,
     _wrap,
     density_identity_values,
     kernel_identity_values,
@@ -113,14 +114,15 @@ def _closed_form(mean: float, cfg: MCConfig, method: str) -> Estimate:
 
 def price_naive_values(spec: OptionSpec, batch: PathBatch) -> np.ndarray:
     """Discounted payoff per path: (s0 / (tau sigma^2)) e^{-r tau} (A - a)^+."""
-    a = spec.scale_a
-    scale = spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
-    return scale * np.maximum(batch.integral - a, 0.0)
+    values = _excess(batch.integral, spec.scale_a)
+    values *= spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
+    return values
 
 
 def price_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
-    scale = spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
-    return scale * kernel_identity_values(batch0, spec.scale_a, 0.0)
+    values = kernel_identity_values(batch0, spec.scale_a, 0.0)
+    values *= spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
+    return values
 
 
 def delta_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
@@ -146,9 +148,9 @@ def delta_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
 
 
 def gamma_identity_values(spec: OptionSpec, batch0: PathBatch, batch1: PathBatch) -> np.ndarray:
-    a = spec.scale_a
-    pre = spec.sigma**2 * spec.strike**2 * spec.expiry / spec.s0**3 * spec.discount
-    return pre * density_identity_values(batch0, batch1, a)
+    values = density_identity_values(batch0, batch1, spec.scale_a)
+    values *= spec.sigma**2 * spec.strike**2 * spec.expiry / spec.s0**3 * spec.discount
+    return values
 
 
 def vega_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:

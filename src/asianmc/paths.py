@@ -40,7 +40,6 @@ drift that is neither 0 nor the last at its horizon.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -98,7 +97,8 @@ class MCConfig:
             path 2k.
 
     ``n_paths``, ``n_steps`` and ``master_seed`` may be Python or numpy
-    integers, nothing else.
+    integers, nothing else (not bools); ``antithetic`` is a Python or numpy
+    bool.
     """
 
     n_paths: int
@@ -108,10 +108,11 @@ class MCConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_paths", "n_steps", "master_seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:

@@ -1,10 +1,13 @@
 """Command line: schema, determinism, exit codes, round-trip precision."""
 
+import ast
 import csv
 import io
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +337,36 @@ def test_console_entry_point_module():
     proc = subprocess.run([sys.executable, "-m", "asianmc", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# numpy is the one declared dependency; scipy and others may be installed but
+# must not be imported by the library
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "asianmc"}
+
+
+def test_library_imports_only_numpy_and_the_standard_library():
+    # every module, imported in a fresh interpreter: the top-level packages it
+    # loads, beyond those loaded at start-up
+    probe = ("import importlib, json, pkgutil, sys\n"
+             "before = set(sys.modules)\n"
+             "import asianmc\n"
+             "for m in pkgutil.iter_modules(asianmc.__path__):\n"
+             "    if m.name != '__main__':\n"
+             "        importlib.import_module('asianmc.' + m.name)\n"
+             "print(json.dumps(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert {"asianmc", "numpy"} <= loaded
+    assert loaded <= ALLOWED_IMPORTS, loaded - ALLOWED_IMPORTS
+    # and no import statement, at module level or inside a function, names
+    # anything else
+    for source in Path(am.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in ALLOWED_IMPORTS, (source.name, name)

@@ -16,6 +16,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,12 @@ import asianmc as am
 from asianmc import MCConfig, PathBatch, TransformParams
 from asianmc.cli import DEFAULT_THREADS
 from asianmc.estimators import (
+    IDENTITY,
+    NAIVE,
+    QUANTITIES,
     Estimate,
+    _wrap,
+    cdf_identity_values,
     density_identity_values,
     kernel_d2_identity_values,
     kernel_identity_values,
@@ -604,3 +610,140 @@ def test_dense_threshold_grid_keeps_one_split_per_batch():
         tracemalloc.stop()
     assert after_one <= 2 * cfg.n_paths * (8 + 1), after_one
     assert after_all <= after_one, (after_one, after_all)
+
+
+# ---------------------------------------------------------------------------
+# in-place builders, bit for bit against their out-of-place expressions
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _reference_split(batch, a):
+    """split_weight's driftless body and tail, as one out-of-place expression."""
+    x, integ = batch.terminal, batch.integral
+    tail = (x * a + integ > a) & (integ < a)
+    y = x / (integ + a) * 2.0 - 2.0 / a
+    return np.exp(np.minimum(y, 0.0)) * (y <= 0.0), tail
+
+
+def _reference_drift_factor(batch, a):
+    return (a / (batch.integral + a)) ** (2.0 * batch.nu)
+
+
+def _reference_cdf(batch, a):
+    body, tail = _reference_split(batch, a)
+    if batch.nu != 0.0:
+        body = body * _reference_drift_factor(batch, a)
+    return body + tail
+
+
+def _drift_ensembles(nu, antithetic):
+    """Batches at t = 1 and drifts {0, 1, nu}, keyed by (t, drift): the
+    drawn ones, and the subset of their paths whose terminal exceeds 1.5
+    and integral stays below 5 at every drift, so that at a = 20 the split
+    keeps none of them."""
+    cfg = MCConfig(3000, 16, 13, antithetic)  # three chunks, the last one short
+    ens = am.sample_ensemble(1.0, sorted({0.0, 1.0, nu}), cfg)
+    picked = np.all([(b.terminal > 1.5) & (b.integral < 5.0) for b in ens.values()], axis=0)
+    few = {(1.0, d): PathBatch(1.0, d, b.terminal[picked].copy(), b.integral[picked].copy(), cfg)
+           for d, b in ens.items()}
+    return {(1.0, d): b for d, b in ens.items()}, few
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("nu", [0.0, 1.0, -0.5])
+def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
+    full, few = _drift_ensembles(nu, antithetic)
+    kept = {}
+    for ens, a in [(full, 1e-3), (full, 0.7), (full, 2.5), (few, 20.0)]:
+        b0, b1, bnu = ens[1.0, 0.0], ens[1.0, 1.0], ens[1.0, nu]
+        body0, tail0 = _reference_split(b0, a)
+        kept[a] = int(np.count_nonzero(b0.terminal * a <= b0.integral + a)), len(b0)
+        cdf = {d: _reference_cdf(b, a) for d, b in ((0.0, b0), (1.0, b1), (nu, bnu))}
+        h = 0.05 * a
+        integ, m = b0.integral, b0.terminal
+        root = integ / a + 1.0
+        bound = root * root * 1.0  # b (1 + A/a)^2 at b = 1
+        want = {
+            ("cdf", IDENTITY): ({"nu": nu}, cdf[nu]),
+            ("density", IDENTITY): ({}, (cdf[0.0] - cdf[1.0]) * (2.0 / a**2)),
+            ("joint_cdf", IDENTITY): ({"b": 1.0}, body0 * (m <= bound) + (tail0 & (m <= 1.0))),
+            ("call_kernel_d1", IDENTITY): ({}, cdf[0.0] - 1.0),
+            ("density", NAIVE): ({"bandwidth": None},
+                                 ((integ <= a + h).astype(float) - (integ <= a - h).astype(float))
+                                 / (2.0 * h)),
+            ("call_kernel_d2", NAIVE): ({"bandwidth": None},
+                                        (np.maximum(integ - a - h, 0.0)
+                                         - 2.0 * np.maximum(integ - a, 0.0)
+                                         + np.maximum(integ - a + h, 0.0)) / h**2),
+            ("call_kernel", NAIVE): ({"nu": nu}, np.maximum(bnu.integral - a, 0.0)),
+        }
+        for (quantity, method), (args, expected) in want.items():
+            got = QUANTITIES[quantity].methods[method][1](ens, a=a, t=1.0, **args)
+            assert _same_bits(got, expected), (quantity, method, a)
+            before = got.copy()
+            e = _wrap(got, method, time.perf_counter())
+            assert e.mean == float(expected.mean()), (quantity, method, a)
+            n = len(expected)
+            assert e.stderr == math.sqrt(float(((expected - expected.mean()) ** 2).sum())
+                                         / (n - 1)) / math.sqrt(n)
+            assert _same_bits(got, before)
+        # the option builders, at a spec of horizon 1 and scaled threshold
+        # about a
+        spec = am.OptionSpec(1.3, 1.3 * a, 0.5, 0.03, 4.0)
+        ka = spec.scale_a
+        assert spec.horizon == 1.0
+        scale = spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
+        pre = spec.sigma**2 * spec.strike**2 * spec.expiry / spec.s0**3 * spec.discount
+        assert _same_bits(am.greeks.price_naive_values(spec, b0),
+                          scale * np.maximum(b0.integral - ka, 0.0))
+        assert _same_bits(am.greeks.price_identity_values(spec, b0),
+                          scale * kernel_identity_values(b0, ka, 0.0))
+        assert _same_bits(am.greeks.gamma_identity_values(spec, b0, b1),
+                          pre * density_identity_values(b0, b1, ka))
+    # the thresholds cover a split that keeps every path, some and none
+    assert kept[1e-3][0] == kept[1e-3][1]
+    assert 0 < kept[0.7][0] < kept[0.7][1] and 0 < kept[2.5][0] < kept[2.5][1]
+    assert kept[20.0][0] == 0 < kept[20.0][1]
+
+
+def test_wrap_takes_the_numpy_mean_and_leaves_its_input():
+    rng = np.random.default_rng(4)
+    for values in (rng.standard_normal(1), rng.standard_normal(1000) * 1e3 + 7.0,
+                   rng.pareto(1.1, 4097), np.zeros(3)):
+        before = values.copy()
+        e = _wrap(values, NAIVE, time.perf_counter())
+        assert e.mean == float(values.mean())
+        assert _same_bits(values, before)
+        assert e.stderr == (0.0 if len(values) == 1 else
+                            math.sqrt(float(np.square(values - values.mean()).sum())
+                                      / (len(values) - 1)) / math.sqrt(len(values)))
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, -0.5, 2.0])
+def test_drifted_split_carries_the_drift_factor_once(nu):
+    full, few = _drift_ensembles(nu, False)
+    for ens in (full, few):
+        batch = ens[1.0, nu]
+        for a in (1e-3, 0.7, 2.5, 20.0):
+            body, tail = split_weight(batch, a)
+            ref_body, ref_tail = _reference_split(batch, a)
+            assert _same_bits(body, ref_body * _reference_drift_factor(batch, a)), a
+            assert _same_bits(tail, ref_tail), a
+            if nu >= 0.0:
+                assert body.max(initial=0.0) <= 1.0
+            # shared and read-only
+            again = split_weight(batch, a)
+            assert again[0] is body and again[1] is tail
+            for array in again:
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+            # the CDF is body + tail at every drift, with no second factor
+            for d, b in ens.items():
+                assert _same_bits(cdf_identity_values(b, a), np.add(*split_weight(b, a))), (d, a)
+    if nu < 0.0:
+        # the factor (1 + A/a)^{2|nu|} lifts the body above 1 on some paths
+        assert split_weight(full[1.0, nu], 2.5)[0].max() > 1.0

@@ -37,6 +37,19 @@ def test_rejects_bad_config():
                        ((100, 8.0), "n_steps"), ((100, 8, "1"), "master_seed")):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             MCConfig(*args)
+    # a bool is not a count or a seed, and the antithetic flag is a bool: a
+    # string such as 'no' would pair the paths
+    for args, name in (((True, 8), "n_paths"), ((100, np.True_), "n_steps"),
+                       ((100, 8, False), "master_seed"), ((100, 8, np.False_), "master_seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MCConfig(*args)
+    for flag in ("no", 1, 0, None, 1.0):
+        with pytest.raises(ValueError, match="antithetic must be a bool"):
+            MCConfig(100, 8, 1, flag)
+    for flag in (np.True_, np.False_):
+        batch = sample_batch(1.0, 0.0, MCConfig(100, 8, 1, flag))
+        plain = sample_batch(1.0, 0.0, MCConfig(100, 8, 1, bool(flag)))
+        np.testing.assert_array_equal(batch.integral, plain.integral)
     # numpy integers are integers
     cfg = MCConfig(np.int64(100), np.int32(8), np.uint64(1))
     batch, plain = sample_batch(1.0, 0.0, cfg), sample_batch(1.0, 0.0, MCConfig(100, 8, 1))
