@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimators, greeks  # greeks adds its rows to QUANTITIES
 from .estimators import QUANTITIES, Estimate, _shared_ensembles, _wrap, stable_exp_rate
-from .paths import NONNEGATIVE, MCConfig, _simulate, check_param, default_steps
+from .paths import MCConfig, _integer, _simulate, default_steps
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,7 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     threads as in :func:`~asianmc.paths.sample_ensemble`; None (the default)
     is serial.
     """
-    check_param("time t", t, NONNEGATIVE)
-    check_param("drift nu", nu)
-    steps = sorted(set(int(s) for s in steps_grid))
+    steps = sorted({_integer("every step count of the steps grid", s) for s in steps_grid})
     if not steps:
         raise ValueError("steps grid must be nonempty")
     if any(s < 1 for s in steps):
@@ -202,10 +200,10 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     finest = steps[-1]
     if any(finest % s for s in steps):
         raise ValueError("every step count must divide the finest one")
-    target = stable_exp_rate(nu, t)
     started = time.perf_counter()
     grids = _simulate(((t, nu, finest // s) for s in steps), replace(cfg, n_steps=finest),
                       threads)
+    target = stable_exp_rate(nu, t)
     out = []
     for s in steps:
         est = _wrap(grids[t, nu, finest // s][1], "nested", started)

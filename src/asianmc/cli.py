@@ -220,7 +220,7 @@ def _run_quantity(args) -> list[list[str]]:
     call = q.arguments({p: getattr(args, p) for p in q.params})
     horizon = q.horizon(call)
     cfg = _cfg(args, horizon)
-    ens = shared_ensemble(horizon, cfg, [(name, m, call) for m in methods], threads=args.threads)
+    ens = shared_ensemble(cfg, [(name, m, call) for m in methods], threads=args.threads)
     options = {"bandwidth": args.bandwidth} if name == "density" else {}
     rows = []
     for m in methods:

@@ -11,8 +11,10 @@ Every quantity comes in two independent families:
 The two families estimate the same quantities and are meant to be
 cross-validated against each other; :mod:`asianmc.bench` automates that.
 Each quantity is described once, in :data:`QUANTITIES`: its parameters, its
-methods, the drifts each method reads and its per-path values.  The public
-estimators, the sweep and the command line all read that table.
+methods, the drifts each method reads, its per-path values and any exact
+value.  The public estimators, the sweep and the command line all read that
+table, and every estimate comes out of one function, ``_estimate``; the
+printed-weight routes are private rows of the same kind.
 
 The printed identity weights carry the factor e^{Y - 2/a}, Y = 2M/(a + A).
 That factor is a strict local martingale with a tail of index 1: its
@@ -38,8 +40,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .paths import (NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _simulate, _simulate_all,
-                    check_param, sample_ensemble)
+from .paths import (NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _check_key, _simulate,
+                    _simulate_all, check_param)
 
 NAIVE = "naive"
 IDENTITY = "identity"
@@ -100,7 +102,7 @@ def _ensemble_for(
 ) -> dict[tuple[float, float], PathBatch]:
     """The batch at each (horizon, drift) key of a call at horizon ``t``,
     keyed by that pair: supplied batches where possible, the rest drawn in
-    one call of the path core.
+    one call of the path core, which checks their keys.
 
     Chunk keys depend only on (master_seed, chunk, n_steps), so batches
     simulated in separate calls with equal cfg still share their underlying
@@ -119,10 +121,7 @@ def _ensemble_for(
             raise ValueError(f"the supplied drift-{b.nu} batch was drawn at t={b.t} with "
                              f"{b.cfg}, but the call is at t={t} with {cfg}")
     missing = [key for key in keys if key not in have]
-    if len({h for h, _ in missing}) == 1:  # the public sampler checks t and the drifts
-        drawn = sample_ensemble(missing[0][0], [nu for _, nu in missing], cfg).values()
-        have.update(((b.t, b.nu), b) for b in drawn)
-    elif missing:
+    if missing:
         grids = _simulate(((h, nu, 1) for h, nu in missing), cfg)
         have.update(((h, nu), PathBatch(h, nu, *grids[h, nu, 1], cfg)) for h, nu in missing)
     return have
@@ -389,6 +388,17 @@ def _weighted_cdf_estimate(ens, a, t, nu, **_):
     return values, None, ("tail-underflow",) if values.max() == 0.0 else ()
 
 
+def _transform_values(ens, f, a, t, **_) -> np.ndarray:
+    batch = ens[t, 0.0]
+    m, integ = batch.terminal, batch.integral
+    shrink = 1.0 + integ / a
+    fx = np.asarray(f(m / shrink**2, integ / shrink), dtype=float)
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        raise ValueError(f"f returned a non-finite value at path index {int(np.argmax(bad))}")
+    return fx * np.exp(2.0 * m / (a + integ) - 2.0 / a)
+
+
 # ---------------------------------------------------------------------------
 # the quantity table
 # ---------------------------------------------------------------------------
@@ -407,10 +417,12 @@ class Quantity:
     the (horizon, drift) keys it reads; ``values(ensemble, **args)`` gets the
     batches keyed by (horizon, drift) and returns the per-path values, or
     ``(values, mean, flags)`` where the mean or the flags are not the plain
-    ones.  The public function is the attribute of ``module`` named after the
-    quantity, looked up at each call, so a wrapper set on that attribute (as
-    perfbench's tracer does) sees every call; ``defaults`` are the sweep's
-    grid defaults.
+    ones.  A closed form is table data too: :meth:`exact` returns the
+    quantity's exact value at arguments where it has one (the option rows at
+    strike 0), and such a call reads no key and draws nothing.  The public
+    function is the attribute of ``module`` named after the quantity, looked
+    up at each call, so a wrapper set on that attribute (as perfbench's
+    tracer does) sees every call; ``defaults`` are the sweep's grid defaults.
     """
 
     params: Mapping[str, str | None]
@@ -429,8 +441,15 @@ class Quantity:
         for name, bound in self.params.items():
             check_param(name, args[name], bound)
 
+    def exact(self, args: Mapping) -> float | None:
+        """The exact value at ``args``, or None where it must be estimated."""
+        return None
+
     def keys(self, method: str, args: Mapping) -> tuple[tuple[float, float], ...]:
-        """The (horizon, drift) keys ``method`` reads at ``args``."""
+        """The (horizon, drift) keys ``method`` reads at ``args``: none for a
+        call with an exact value."""
+        if self.exact(args) is not None:
+            return ()
         reads = self.methods[method][0]
         return tuple(reads(**args) if callable(reads) else (
             (self.horizon(args), args[d] if isinstance(d, str) else d) for d in reads))
@@ -467,7 +486,9 @@ QUANTITIES: dict[str, Quantity] = {
     }),
 }
 
+# the printed-weight routes, each a private row
 _CDF_WEIGHTED = Quantity(QUANTITIES["cdf"].params, {IDENTITY: (("nu",), _weighted_cdf_estimate)})
+_TRANSFORM = Quantity({"a": POSITIVE, "t": NONNEGATIVE}, {IDENTITY: ((0.0,), _transform_values)})
 
 
 def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
@@ -478,6 +499,9 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
         raise ValueError("an MCConfig is required")
     if method not in q.methods:
         raise ValueError(f"unknown method {method!r}")
+    exact = q.exact(args)
+    if exact is not None:
+        return Estimate(exact, 0.0, cfg.n_paths, method, 0.0, ("closed-form",))
     horizon = q.horizon(args)
     ens = _ensemble_for(horizon, q.keys(method, args), cfg, ensemble)
     out = q.methods[method][1](ens, **args)
@@ -510,25 +534,25 @@ def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, f
             q.check(args)
             reads = q.keys(method, args) if method in q.methods else ()
             for h, nu in reads:
-                check_param("time t", h, NONNEGATIVE)
-                check_param("drift nu", nu)
+                _check_key(h, nu)
         except ValueError:
             continue
         keys.update(reads)
     return sorted(keys)
 
 
-def shared_ensemble(horizon: float, cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
+def shared_ensemble(cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
                     *, threads: int | None = None) -> dict[tuple, PathBatch]:
     """One ensemble, keyed by (horizon, drift), with every key the
-    ``(quantity, method, args)`` calls at ``horizon`` read, drawn in one call
-    of the path core, so that all of them share one draw of normals.
-    ``threads`` spreads that draw's chunks over worker threads as in
+    ``(quantity, method, args)`` calls read, at whatever horizons they read
+    them (the FD vega reads two sigma-moved ones), drawn in one call of the
+    path core, so that all of them share one draw of normals.  ``threads``
+    spreads that draw's chunks over worker threads as in
     :func:`~asianmc.paths.sample_ensemble`; None (the default) is serial.
 
-    Calls whose arguments or method the quantity rejects, or that read a
-    negative horizon, add no key; made with this ensemble, they raise their
-    own error.
+    A call with an exact value reads no key.  Calls whose arguments or
+    method the quantity rejects, or that read a negative horizon, add no
+    key; made with this ensemble, they raise their own error.
     """
     return next(_shared_ensembles([(cfg, calls)], threads))
 
@@ -566,19 +590,9 @@ def transform_expectation(
     ``f`` must be vectorized over numpy arrays and finite on every sampled
     path; a non-finite output raises with the offending path index.
     """
-    started = time.perf_counter()
     if params.nu != 0.0:
         raise ValueError("the generic transform is defined for the driftless case only")
-    a = params.a
-    batch = _ensemble_for(params.t, ((params.t, 0.0),), cfg, ensemble)[params.t, 0.0]
-    m, integ = batch.terminal, batch.integral
-    shrink = 1.0 + integ / a
-    fx = np.asarray(f(m / shrink**2, integ / shrink), dtype=float)
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        raise ValueError(f"f returned a non-finite value at path index {int(np.argmax(bad))}")
-    values = fx * np.exp(2.0 * m / (a + integ) - 2.0 / a)
-    return _wrap(values, IDENTITY, started)
+    return _estimate(_TRANSFORM, cfg, IDENTITY, ensemble, f=f, a=params.a, t=params.t)
 
 
 def cdf(

@@ -5,9 +5,13 @@ discount factor, and the market inputs collapse into the derived scale
 ``a = sigma^2 * strike * expiry / s0`` and the effective horizon
 ``T = sigma^2 * expiry``.  All sensitivities are exact transformations of the
 distribution estimators in :mod:`asianmc.estimators`; finite-difference
-cross-checks with common random numbers are built in.  A report reads
-every horizon and drift it needs (the driftless and drift-1 batches at
-T, and the FD vega's two sigma-moved horizons) from one draw of normals.
+cross-checks with common random numbers are built in.  The price and each
+Greek are option rows of the quantity table, and so are the comparison
+routes :func:`vega_weighted` and :func:`theta_fd_expiry` (private rows):
+every public function here is one call of ``estimators._estimate``.  At
+strike 0 every row is exact, and such a call draws no paths.  A report
+reads every horizon and drift it needs (the driftless and drift-1 batches
+at T, and the FD vega's two sigma-moved horizons) from one draw of normals.
 
 Method tags: ``identity`` uses the closed-form transformed estimators,
 ``naive`` prices the raw discounted payoff, ``fd`` differentiates the naive
@@ -17,9 +21,8 @@ price with common random numbers.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -29,10 +32,8 @@ from .estimators import (
     QUANTITIES,
     Estimate,
     Quantity,
-    _ensemble_for,
     _estimate,
     _excess,
-    _wrap,
     density_identity_values,
     kernel_identity_values,
     shared_ensemble,
@@ -101,10 +102,6 @@ class GreekReport:
     theta: Estimate
     vega: Estimate
     fd_cross_checks: Mapping[str, Estimate] | None = None
-
-
-def _closed_form(mean: float, cfg: MCConfig, method: str) -> Estimate:
-    return Estimate(mean, 0.0, cfg.n_paths, method, 0.0, ("closed-form",))
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +254,34 @@ def _vega_fd_values(ens, spec, **_) -> np.ndarray:
     return (up - dn) / (2.0 * h)
 
 
+def _vega_weighted_values(ens, spec, **_) -> np.ndarray:
+    t, a = spec.horizon, spec.scale_a
+    return _vega_relation(spec, price_identity_values(spec, ens[t, 0.0]),
+                          1.0 - weighted_cdf_values(ens[t, 1.0], a),
+                          1.0 - weighted_cdf_values(ens[t, 0.0], a))
+
+
+def _theta_expiry_values(ens, spec, **_) -> np.ndarray:
+    up, dn, h = _central(spec, "expiry", "theta", ens)
+    return -(up - dn) / (2.0 * h)
+
+
 # ---------------------------------------------------------------------------
 # the option rows of the quantity table
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class _Option(Quantity):
-    """A quantity whose public function takes one OptionSpec, valid by construction."""
+    """A quantity whose public function takes one OptionSpec, valid by construction.
 
+    At strike 0 the payoff is the average itself, so every row is exact
+    there: the price is s0 e^{-r tau}, delta e^{-r tau} and every other
+    sensitivity 0.  ``zero_strike(spec)`` is the row's value, 0 unless the
+    row says otherwise.
+    """
+
+    zero_strike: Callable[[OptionSpec], float] = lambda spec: 0.0
     defaults = {"s0": 1.0, "strike": 1.0, "sigma": 1.0, "rate": 0.0, "expiry": 1.0}
     module = __name__
 
@@ -277,18 +294,22 @@ class _Option(Quantity):
     def check(self, args: Mapping) -> None:
         pass
 
+    def exact(self, args: Mapping) -> float | None:
+        spec = args["spec"]
+        return self.zero_strike(spec) if spec.strike == 0.0 else None
+
 
 QUANTITIES.update(
     price=_Option(OPTION_PARAMS, {
         NAIVE: ((0.0,), lambda ens, spec, **_: price_naive_values(spec, ens[spec.horizon, 0.0])),
         IDENTITY: ((0.0,),
                    lambda ens, spec, **_: price_identity_values(spec, ens[spec.horizon, 0.0])),
-    }),
+    }, zero_strike=lambda spec: spec.s0 * spec.discount),
     delta=_Option(OPTION_PARAMS, {
         IDENTITY: ((0.0,),
                    lambda ens, spec, **_: delta_identity_values(spec, ens[spec.horizon, 0.0])),
         FD: ((0.0,), _delta_fd_values),
-    }),
+    }, zero_strike=lambda spec: spec.discount),
     gamma=_Option(OPTION_PARAMS, {
         IDENTITY: ((0.0, 1.0), lambda ens, spec, **_: gamma_identity_values(
             spec, ens[spec.horizon, 0.0], ens[spec.horizon, 1.0])),
@@ -305,12 +326,10 @@ QUANTITIES.update(
 )
 
 
-def _option_estimate(quantity: str, spec: OptionSpec, cfg: MCConfig, method: str,
-                     ensemble: Mapping[float, PathBatch] | None) -> Estimate:
-    if spec.strike == 0.0:
-        mean = {"price": spec.s0 * spec.discount, "delta": spec.discount}.get(quantity, 0.0)
-        return _closed_form(mean, cfg, method)
-    return _estimate(QUANTITIES[quantity], cfg, method, ensemble, spec=spec)
+# the routes kept for side-by-side comparison, each a private row
+_VEGA_WEIGHTED = _Option(OPTION_PARAMS, {"identity-weighted": ((0.0, 1.0), _vega_weighted_values)})
+_THETA_EXPIRY = _Option(OPTION_PARAMS, {
+    FD: (lambda spec: _moved_keys(spec, "expiry", "theta"), _theta_expiry_values)})
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +340,19 @@ def _option_estimate(quantity: str, spec: OptionSpec, cfg: MCConfig, method: str
 def price(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
           ensemble: Mapping[float, PathBatch] | None = None) -> Estimate:
     """Asian call price at the start of the averaging period."""
-    return _option_estimate("price", spec, cfg, method, ensemble)
+    return _estimate(QUANTITIES["price"], cfg, method, ensemble, spec=spec)
 
 
 def delta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
           ensemble: Mapping[float, PathBatch] | None = None) -> Estimate:
     """Sensitivity of the price to s0."""
-    return _option_estimate("delta", spec, cfg, method, ensemble)
+    return _estimate(QUANTITIES["delta"], cfg, method, ensemble, spec=spec)
 
 
 def gamma(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
           ensemble: Mapping[float, PathBatch] | None = None) -> Estimate:
     """Second sensitivity to s0; proportional to the density of the integral."""
-    return _option_estimate("gamma", spec, cfg, method, ensemble)
+    return _estimate(QUANTITIES["gamma"], cfg, method, ensemble, spec=spec)
 
 
 def theta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
@@ -348,7 +367,7 @@ def theta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
     (all from the same method and the same paths); the stderr comes from the
     per-path combined influence, so shared-path covariances are kept.
     """
-    return _option_estimate("theta", spec, cfg, method, ensemble)
+    return _estimate(QUANTITIES["theta"], cfg, method, ensemble, spec=spec)
 
 
 def vega(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
@@ -363,7 +382,7 @@ def vega(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
     two differ (rate > 0).  The fully indicator-free route is
     :func:`vega_weighted`.
     """
-    return _option_estimate("vega", spec, cfg, method, ensemble)
+    return _estimate(QUANTITIES["vega"], cfg, method, ensemble, spec=spec)
 
 
 def vega_weighted(spec: OptionSpec, cfg: MCConfig, *,
@@ -376,16 +395,7 @@ def vega_weighted(spec: OptionSpec, cfg: MCConfig, *,
     variance, so this route is kept for side-by-side comparison, not as the
     default.
     """
-    started = time.perf_counter()
-    if spec.strike == 0.0:
-        return _closed_form(0.0, cfg, "identity-weighted")
-    a = spec.scale_a
-    t = spec.horizon
-    ens = _ensemble_for(t, ((t, 0.0), (t, 1.0)), cfg, ensemble)
-    values = _vega_relation(spec, price_identity_values(spec, ens[t, 0.0]),
-                            1.0 - weighted_cdf_values(ens[t, 1.0], a),
-                            1.0 - weighted_cdf_values(ens[t, 0.0], a))
-    return _wrap(values, "identity-weighted", started)
+    return _estimate(_VEGA_WEIGHTED, cfg, "identity-weighted", ensemble, spec=spec)
 
 
 def theta_fd_expiry(spec: OptionSpec, cfg: MCConfig) -> Estimate:
@@ -396,12 +406,7 @@ def theta_fd_expiry(spec: OptionSpec, cfg: MCConfig) -> Estimate:
     Both shifted horizons reuse the same increments and step count as the
     base configuration, read from one draw of normals.
     """
-    started = time.perf_counter()
-    if spec.strike == 0.0:
-        return _closed_form(0.0, cfg, FD)
-    ens = _ensemble_for(spec.horizon, _moved_keys(spec, "expiry", "theta"), cfg, None)
-    up, dn, h = _central(spec, "expiry", "theta", ens)
-    return _wrap(-(up - dn) / (2.0 * h), FD, started)
+    return _estimate(_THETA_EXPIRY, cfg, FD, None, spec=spec)
 
 
 def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
@@ -423,7 +428,7 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
     args = {"spec": spec}
     calls = [("price", price_method, args)] + [
         (name, m, args) for name in sensitivities for m in methods]
-    ens = shared_ensemble(spec.horizon, cfg, calls, threads=threads) if spec.strike > 0.0 else {}
+    ens = shared_ensemble(cfg, calls, threads=threads)
     report = GreekReport(spec, method, price(spec, cfg, price_method, ensemble=ens), *(
         fn(spec, cfg, greek_method, ensemble=ens) for fn in sensitivities.values()))
     if not fd_check:

@@ -75,6 +75,20 @@ def check_param(name: str, value: float, bound: str | None = None) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def _check_key(t: float, nu: float) -> None:
+    """Raise ValueError unless (t, nu) is a key the path core can draw."""
+    check_param("time t", t, NONNEGATIVE)
+    check_param("drift nu", nu)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a Python or
+    numpy integer (not a bool)."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def default_steps(t: float) -> int:
     """Default grid size: 1024 steps per unit time, never fewer than 256."""
     check_param("t", t)
@@ -108,9 +122,7 @@ class MCConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_paths", "n_steps", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         if not isinstance(self.antithetic, (bool, np.bool_)):
             raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.n_paths < 1:
@@ -154,12 +166,6 @@ class PathBatch:
 
     def sample(self, path_index: int) -> PathSample:
         return PathSample(float(self.terminal[path_index]), float(self.integral[path_index]))
-
-
-def _validate_drift(nu: float) -> float:
-    nu = float(nu)
-    check_param("drift nu", nu)
-    return nu
 
 
 def _chunk_normals(
@@ -243,7 +249,8 @@ def _simulate_all(
     threads: int | None = None,
 ) -> Iterator[dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]]:
     """For each ``(keys, cfg)`` draw in turn, the (terminal, integral) arrays
-    of cfg.n_paths paths at each of its (t, nu, k) keys.
+    of cfg.n_paths paths at each of its (t, nu, k) keys.  Every key is
+    checked: a negative horizon or a non-finite drift raises ValueError.
 
     The one chunk loop: each chunk's normals are drawn once, one row block at
     a time (see :func:`_chunk_normals`), every key is read from each block
@@ -289,6 +296,8 @@ def _simulate_all(
     window, items = [], []
     for keys, cfg in draws:
         keys = tuple(dict.fromkeys(keys))
+        for t, nu, _ in keys:
+            _check_key(t, nu)
         window.append({key: (np.empty(cfg.n_paths), np.empty(cfg.n_paths)) for key in keys})
         chunks = range((cfg.n_paths - 1) // PATHS_PER_CHUNK + 1 if keys else 0)
         items += [(keys, cfg, window[-1], c) for c in chunks]
@@ -334,8 +343,7 @@ def sample_ensemble(
     -------
     dict mapping each requested nu to its PathBatch.
     """
-    check_param("time t", t, NONNEGATIVE)
-    nus = tuple(dict.fromkeys(_validate_drift(nu) for nu in nus))
+    nus = tuple(dict.fromkeys(float(nu) for nu in nus))
     if not nus:
         raise ValueError("at least one drift value is required")
     out = _simulate(((t, nu, 1) for nu in nus), cfg, threads)
@@ -344,13 +352,13 @@ def sample_ensemble(
 
 def sample_batch(t: float, nu: float, cfg: MCConfig, threads: int | None = None) -> PathBatch:
     """Simulate cfg.n_paths paths at drift nu; see :func:`sample_ensemble`."""
-    return sample_ensemble(t, (nu,), cfg, threads=threads)[_validate_drift(nu)]
+    return sample_ensemble(t, (nu,), cfg, threads=threads)[float(nu)]
 
 
 def sample_path(t: float, nu: float, cfg: MCConfig, path_index: int) -> PathSample:
     """Evaluate a single path, bit-identical to its row in :func:`sample_batch`."""
-    check_param("time t", t, NONNEGATIVE)
-    nu = _validate_drift(nu)
+    _check_key(t, nu)
+    path_index = _integer("path_index", path_index)
     if not 0 <= path_index < cfg.n_paths:
         raise ValueError(f"path_index {path_index} outside [0, {cfg.n_paths})")
     chunk, row = divmod(path_index, PATHS_PER_CHUNK)

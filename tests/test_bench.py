@@ -145,6 +145,9 @@ def test_bias_report_validation():
         quadrature_bias_report(1.0, 0.0, (12, 1024), cfg)
     with pytest.raises(ValueError, match="nonempty"):
         quadrature_bias_report(1.0, 0.0, (), cfg)
+    for grid in ((16.7, 64), (True, 64)):  # the integer rule of MCConfig's counts
+        with pytest.raises(ValueError, match="steps grid must be an integer"):
+            quadrature_bias_report(1.0, 1.0, grid, cfg)
 
 
 def test_bias_report_time_zero_rows_are_exact():

@@ -98,11 +98,14 @@ def test_choice_the_quantity_does_not_take_exits_two(argv, option):
     (("cdf", "--a", "1", "--method", "both"), 1),
     (("greeks", "--fd-check"), 1),
     (("bias", "--steps-grid", "4,8"), 1),
-], ids=["argv0", "argv1", "argv2", "argv3"])
+    (("price", "--strike", "0"), 0),
+    (("sweep", "--quantity", "vega", "--grid", "strike=0"), 0),
+], ids=["argv0", "argv1", "argv2", "argv3", "price-zero-strike", "sweep-zero-strike"])
 def test_one_chunk_of_normals_per_command(argv, chunks, monkeypatch):
     # every point and method of one command shares one ensemble: 64 paths
     # are one chunk, so one draw of normals; greeks --fd-check reads the FD
-    # vega's two bumped horizons from that same draw
+    # vega's two bumped horizons from that same draw.  A zero-strike option
+    # row is exact, so it draws nothing
     calls = []
     draw = am.paths._chunk_normals
     monkeypatch.setattr(am.paths, "_chunk_normals",

@@ -145,6 +145,17 @@ def test_transform_rejects_nonfinite_f_with_path_index():
         am.transform_expectation(bad, TransformParams(1.0, 1.0), cfg)
 
 
+def test_transform_checks_its_config_and_flags_a_coarse_grid():
+    one = lambda w, z: np.ones_like(w)  # noqa: E731
+    with pytest.raises(ValueError, match="an MCConfig is required"):
+        am.transform_expectation(one, TransformParams(1.0, 1.0), None)
+    # as for the CDF: at a <= dt/2 the grid cannot resolve the threshold
+    cfg = MCConfig(64, 8, 3)
+    coarse = am.transform_expectation(one, TransformParams(1.25, 20.0), cfg)
+    assert coarse.flags == ("coarse-grid(dt=2.5)",)
+    assert am.transform_expectation(one, TransformParams(1.26, 20.0), cfg).flags == ()
+
+
 def test_time_zero_degeneracy_is_exact():
     cfg = MCConfig(500, 8, 1)
     for nu in (0.0, 1.0, -0.5):

@@ -66,6 +66,11 @@ def test_zero_strike_closed_forms(rate):
     assert am.vega(spec, cfg).mean == 0.0
     assert am.theta(spec, cfg).mean == 0.0
     assert theta_fd_expiry(spec, cfg).mean == 0.0
+    vw = am.vega_weighted(spec, cfg)
+    assert (vw.mean, vw.method, vw.flags) == (0.0, "identity-weighted", ("closed-form",))
+    # an exact row still checks its method
+    with pytest.raises(ValueError, match="unknown method"):
+        am.price(spec, cfg, "bogus")
 
 
 def test_zero_strike_discounting_is_exact_in_rate():
@@ -194,7 +199,7 @@ def test_fd_vega_bumped_prices_equal_fresh_draws_at_each_horizon():
     # a separate draw at that horizon, bit for bit (1500 paths: two chunks)
     spec = OptionSpec(s0=1.0, strike=1.1, sigma=0.8, rate=0.02, expiry=1.5)
     cfg = MCConfig(1_500, 64, 3)
-    up, dn, h = _central(spec, "sigma", "vega", shared_ensemble(spec.horizon, cfg, [
+    up, dn, h = _central(spec, "sigma", "vega", shared_ensemble(cfg, [
         ("vega", FD, {"spec": spec})]))
     assert h == FD_REL_STEP["vega"] * spec.sigma
     for values, sigma in ((up, spec.sigma + h), (dn, spec.sigma - h)):

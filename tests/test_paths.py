@@ -61,6 +61,9 @@ def test_rejects_negative_time_and_bad_index():
         sample_batch(-0.5, 0.0, CFG)
     with pytest.raises(ValueError, match="path_index"):
         sample_path(1.0, 0.0, CFG, CFG.n_paths)
+    for index in (1.5, True):  # the integer rule of MCConfig's counts
+        with pytest.raises(ValueError, match="path_index must be an integer"):
+            sample_path(1.0, 0.0, CFG, index)
     with pytest.raises(ValueError, match="finite"):
         sample_batch(1.0, float("nan"), CFG)
 
