@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import estimators, greeks  # greeks adds its rows to QUANTITIES
-from .estimators import QUANTITIES, Estimate, _shared_ensembles, _wrap, stable_exp_rate
+from . import greeks  # noqa: F401 -- adds the option rows to QUANTITIES
+from .estimators import QUANTITIES, Estimate, _estimate, _shared_ensembles, _wrap, stable_exp_rate
 from .paths import MCConfig, _integer, _simulate, default_steps
 
 
@@ -141,27 +141,33 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     parallel too.
     """
     q = QUANTITIES[spec.quantity]
-    # (horizon, n_paths, n_steps, seed) -> {point: public-function arguments};
-    # a repeated grid value, path count or seed adds no second row
+    # (horizon, n_paths, n_steps, seed) -> {point: the row's arguments}; a
+    # repeated grid value, path count or seed adds no second row
     groups: dict[tuple, dict] = {}
+    errors: dict[tuple, SweepRow] = {}
     for pt in _points(spec):
-        args = q.arguments(dict(pt))
-        horizon = q.horizon(args)
+        try:  # an invalid option cell or a non-finite default-grid horizon
+            args = q.arguments(dict(pt))
+            horizon = q.horizon(args)
+            steps = spec.n_steps or default_steps(horizon)
+        except ValueError as exc:
+            errors.update(((pt, n, m, seed), SweepRow(pt, n, m, seed, None, str(exc)))
+                          for n in spec.n_paths for seed in spec.seeds for m in spec.methods)
+            continue
         for n in spec.n_paths:
             for seed in spec.seeds:
-                key = (horizon, n, spec.n_steps or default_steps(horizon), seed)
-                groups.setdefault(key, {})[pt] = args
+                groups.setdefault((horizon, n, steps, seed), {})[pt] = args
 
     todo = [(MCConfig(n_paths=n, n_steps=steps, master_seed=seed, antithetic=spec.antithetic),
              pts) for (_, n, steps, seed), pts in sorted(groups.items())]
     ensembles = _shared_ensembles(((cfg, [(spec.quantity, m, args) for args in pts.values()
                                           for m in spec.methods]) for cfg, pts in todo), threads)
-    rows: list[SweepRow] = []
+    rows = list(errors.values())
     for (cfg, pts), ens in zip(todo, ensembles):
         for pt, args in pts.items():
             for method in spec.methods:
                 try:
-                    est = estimators.estimate(spec.quantity, args, cfg, method, ens)
+                    est = _estimate(q, cfg, method, ens, **args)
                     rows.append(SweepRow(pt, cfg.n_paths, method, cfg.master_seed, est))
                 except Exception as exc:
                     rows.append(SweepRow(pt, cfg.n_paths, method, cfg.master_seed, None, str(exc)))

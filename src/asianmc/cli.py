@@ -23,8 +23,8 @@ import sys
 from typing import Mapping, Sequence
 
 from . import bench, greeks
-from .estimators import (IDENTITY, NAIVE, QUANTITIES, Estimate, _fd_bandwidth, estimate,
-                         shared_ensemble)
+from .estimators import (IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _estimate,
+                         _fd_bandwidth, shared_ensemble)
 from .paths import MCConfig, default_steps
 
 CSV_HEADER = (
@@ -40,6 +40,12 @@ DEFAULT_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinit
 _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_DOMAIN = 2
+
+# the table rows each command estimates, by --order for kernel; the first
+# row's parameters are the command's flags
+_COMMAND_ROWS = {"price": ("price",), "greeks": ("price",), "cdf": ("cdf",),
+                 "density": ("density",), "joint": ("joint_cdf",),
+                 "kernel": ("call_kernel", "call_kernel_d1", "call_kernel_d2")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,14 +122,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output format")
 
 
-def _add_option_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s0", type=float, default=1.0, help="initial asset price")
-    p.add_argument("--strike", type=float, default=1.0, help="fixed strike")
-    p.add_argument("--sigma", type=float, default=1.0, help="volatility per sqrt(year)")
-    p.add_argument("--rate", type=float, default=0.0, help="continuously compounded rate")
-    p.add_argument("--expiry", type=float, default=1.0, help="years to expiry")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing does not change it."""
@@ -135,40 +133,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_: str, option_args: bool = False) -> argparse.ArgumentParser:
+    def command(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        if option_args:
-            _add_option_args(p)
+        q = QUANTITIES[_COMMAND_ROWS[name][0]] if name in _COMMAND_ROWS else None
+        for param, bound in q.params.items() if q else ():
+            default = q.defaults.get(param)
+            p.add_argument(f"--{param}", type=float, default=default, required=default is None,
+                           help=f"a {bound or 'finite'} number")
         _add_common(p)
         return p
 
-    command("price", "Asian call price", option_args=True)
+    command("price", "Asian call price")
 
-    p = command("greeks", "price plus delta, gamma, theta, vega", option_args=True)
+    p = command("greeks", "price plus delta, gamma, theta, vega")
     p.add_argument("--fd-check", action="store_true", default=False,
                    help="append common-random-number finite-difference cross-checks")
 
-    p = command("cdf", "Pr[A_t^(nu) <= a]")
-    p.add_argument("--a", type=float, required=True, help="threshold (positive)")
-    p.add_argument("--t", type=float, default=1.0, help="time horizon")
-    p.add_argument("--nu", type=float, default=0.0, help="drift")
+    command("cdf", "Pr[A_t^(nu) <= a]")
 
     p = command("density", "density of A_t at a")
-    p.add_argument("--a", type=float, required=True, help="evaluation point (positive)")
-    p.add_argument("--t", type=float, default=1.0, help="time horizon")
     p.add_argument("--bandwidth", type=float, default=None,
                    help="finite-difference half-width for the naive method (default 0.05*a)")
 
-    p = command("joint", "Pr[M_t < b, A_t < a]")
-    p.add_argument("--b", type=float, required=True, help="terminal threshold (positive)")
-    p.add_argument("--a", type=float, required=True, help="integral threshold (positive)")
-    p.add_argument("--t", type=float, default=1.0, help="time horizon")
+    command("joint", "Pr[M_t < b, A_t < a]")
 
     p = command("kernel", "E[(A_t^(nu) - a)^+] and its a-derivatives")
-    p.add_argument("--a", type=float, required=True, help="threshold (positive)")
-    p.add_argument("--t", type=float, default=1.0, help="time horizon")
-    p.add_argument("--nu", type=float, default=0.0, help="drift (order 0 only)")
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=0,
                    help="derivative order in a")
 
@@ -207,24 +197,26 @@ def _cfg(args, horizon: float) -> MCConfig:
                     antithetic=args.antithetic)
 
 
+def _arguments(q: Quantity, args) -> dict:
+    """The row's arguments at the parameter flags' values."""
+    return q.arguments({p: getattr(args, p) for p in q.params})
+
+
 def _run_quantity(args) -> list[list[str]]:
     """One quantity at one point, every chosen method on one shared ensemble."""
-    if args.command == "kernel":
-        name = ("call_kernel", "call_kernel_d1", "call_kernel_d2")[args.order]
-        if args.order and args.nu != 0.0:
-            raise ValueError(f"--nu is taken only by kernel --order 0, not --order {args.order}")
-    else:
-        name = {"joint": "joint_cdf"}.get(args.command, args.command)
+    order = getattr(args, "order", 0)
+    name = _COMMAND_ROWS[args.command][order]
+    if order and args.nu != 0.0:
+        raise ValueError(f"--nu is taken only by kernel --order 0, not --order {args.order}")
     q = QUANTITIES[name]
     methods = _method_choice(args, tuple(q.methods))
-    call = q.arguments({p: getattr(args, p) for p in q.params})
-    horizon = q.horizon(call)
-    cfg = _cfg(args, horizon)
+    call = _arguments(q, args)
+    cfg = _cfg(args, q.horizon(call))
     ens = shared_ensemble(cfg, [(name, m, call) for m in methods], threads=args.threads)
-    options = {"bandwidth": args.bandwidth} if name == "density" else {}
+    options = {"bandwidth": args.bandwidth} if "bandwidth" in args else {}
     rows = []
     for m in methods:
-        est = estimate(name, call, cfg, m, ens, **options)
+        est = _estimate(q, cfg, m, ens, **call, **options)
         flags = (f"h={_fd_bandwidth(args.a, args.bandwidth):.17g}",) \
             if options and m == NAIVE else ()
         rows.append(_row(name, m, est, vars(args), cfg.n_paths, cfg.n_steps,
@@ -233,7 +225,7 @@ def _run_quantity(args) -> list[list[str]]:
 
 
 def _run_greeks(args) -> list[list[str]]:
-    spec = greeks.OptionSpec(args.s0, args.strike, args.sigma, args.rate, args.expiry)
+    spec = _arguments(QUANTITIES["price"], args)["spec"]
     cfg = _cfg(args, spec.horizon)
     method = IDENTITY if args.method == "both" else _method_choice(args, (NAIVE, IDENTITY))[0]
     report = greeks.greek_report(spec, cfg, method, fd_check=args.fd_check, threads=args.threads)

@@ -33,7 +33,6 @@ and the measurements.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -419,16 +418,14 @@ class Quantity:
     ``(values, mean, flags)`` where the mean or the flags are not the plain
     ones.  A closed form is table data too: :meth:`exact` returns the
     quantity's exact value at arguments where it has one (the option rows at
-    strike 0), and such a call reads no key and draws nothing.  The public
-    function is the attribute of ``module`` named after the quantity, looked
-    up at each call, so a wrapper set on that attribute (as perfbench's
-    tracer does) sees every call; ``defaults`` are the sweep's grid defaults.
+    strike 0), and such a call reads no key and draws nothing.
+    ``defaults`` are the sweep's grid defaults and the command line's flag
+    defaults; a parameter without one must be given.
     """
 
     params: Mapping[str, str | None]
     methods: Mapping[str, tuple[tuple[float | str, ...], Callable]]
     defaults = {"t": 1.0, "nu": 0.0}
-    module = __name__
 
     def arguments(self, point: Mapping[str, float]) -> dict:
         """The public function's arguments at one parameter point."""
@@ -493,6 +490,9 @@ _TRANSFORM = Quantity({"a": POSITIVE, "t": NONNEGATIVE}, {IDENTITY: ((0.0,), _tr
 
 def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
               ensemble: Mapping[float, PathBatch] | None, **args) -> Estimate:
+    """Estimate row ``q`` at ``args`` (its parameters, as from
+    :meth:`Quantity.arguments`, and any keyword-only extras such as
+    ``bandwidth``) with ``method``, reading ``ensemble`` where it has the keys."""
     started = time.perf_counter()
     q.check(args)
     if cfg is None:
@@ -512,14 +512,6 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
         # cannot resolve a threshold this low
         flags += (f"coarse-grid(dt={dt:.17g})",)
     return _wrap(values, method, started, flags, mean)
-
-
-def estimate(quantity: str, args: Mapping, cfg: MCConfig, method: str,
-             ensemble: Mapping[float, PathBatch] | None = None, **options) -> Estimate:
-    """Call the public function of ``quantity`` with ``args`` from
-    :meth:`Quantity.arguments`; ``options`` are its keyword-only extras."""
-    fn = getattr(sys.modules[QUANTITIES[quantity].module], quantity)
-    return fn(**args, cfg=cfg, method=method, ensemble=ensemble, **options)
 
 
 def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float]]:

@@ -13,6 +13,16 @@ strike 0 every row is exact, and such a call draws no paths.  A report
 reads every horizon and drift it needs (the driftless and drift-1 batches
 at T, and the FD vega's two sigma-moved horizons) from one draw of normals.
 
+Rate convention: pricing the driftless integral at every rate means the
+underlying has zero risk-neutral drift, as a futures price has, or a stock
+whose dividend yield equals the rate.  The zero-strike price s0 e^{-r tau}
+is the price under this convention.  A stock without dividends would read
+the drifted integral A^{(nu)} with nu = 2r/sigma^2, and its zero-strike
+price is s0 (1 - e^{-r tau}) / (r tau).  Two forms do not fit this
+convention: the pricing-relation :func:`theta` carries the r s0 delta term
+of a stock with drift r, and the printed vega's strike term carries no
+discount (the ``printed-form=`` flag of :func:`vega`).
+
 Method tags: ``identity`` uses the closed-form transformed estimators,
 ``naive`` prices the raw discounted payoff, ``fd`` differentiates the naive
 price with common random numbers.
@@ -74,6 +84,13 @@ class OptionSpec:
     def __post_init__(self) -> None:
         for name, bound in OPTION_PARAMS.items():
             check_param(name, getattr(self, name), bound)
+        try:
+            horizon, scale = self.horizon, self.scale_a
+        except OverflowError:  # sigma**2 past the largest float
+            horizon = scale = math.inf
+        check_param("horizon sigma^2 expiry", horizon, POSITIVE)
+        check_param("scale sigma^2 strike expiry / s0", scale,
+                    POSITIVE if self.strike > 0.0 else NONNEGATIVE)
 
     @property
     def scale_a(self) -> float:
@@ -283,7 +300,6 @@ class _Option(Quantity):
 
     zero_strike: Callable[[OptionSpec], float] = lambda spec: 0.0
     defaults = {"s0": 1.0, "strike": 1.0, "sigma": 1.0, "rate": 0.0, "expiry": 1.0}
-    module = __name__
 
     def arguments(self, point: Mapping[str, float]) -> dict:
         return {"spec": OptionSpec(**point)}
@@ -421,17 +437,15 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
     ``threads`` spreads over worker threads as in
     :func:`~asianmc.paths.sample_ensemble`; None (the default) is serial.
     """
-    sensitivities = {"delta": delta, "gamma": gamma, "theta": theta, "vega": vega}
+    sensitivities = ("delta", "gamma", "theta", "vega")
     price_method = NAIVE if method == NAIVE else IDENTITY
     greek_method = FD if method == NAIVE else method
     methods = (greek_method, FD) if fd_check else (greek_method,)
-    args = {"spec": spec}
-    calls = [("price", price_method, args)] + [
-        (name, m, args) for name in sensitivities for m in methods]
-    ens = shared_ensemble(cfg, calls, threads=threads)
-    report = GreekReport(spec, method, price(spec, cfg, price_method, ensemble=ens), *(
-        fn(spec, cfg, greek_method, ensemble=ens) for fn in sensitivities.values()))
+    calls = [("price", price_method)] + [(name, m) for name in sensitivities for m in methods]
+    ens = shared_ensemble(cfg, [(name, m, {"spec": spec}) for name, m in calls], threads=threads)
+    est = {(name, m): _estimate(QUANTITIES[name], cfg, m, ens, spec=spec) for name, m in calls}
+    report = GreekReport(spec, method, est["price", price_method],
+                         *(est[name, greek_method] for name in sensitivities))
     if not fd_check:
         return report
-    return replace(report, fd_cross_checks={
-        name: fn(spec, cfg, FD, ensemble=ens) for name, fn in sensitivities.items()})
+    return replace(report, fd_cross_checks={name: est[name, FD] for name in sensitivities})

@@ -108,10 +108,23 @@ def test_error_rows_captured_not_raised():
 
 
 def test_nonfinite_grid_value_is_a_row_error():
-    spec = SweepSpec("cdf", {"a": (math.nan, 1.0)}, (64,), (1,), ("naive",), n_steps=8)
-    failed, ok = sorted(run_sweep(spec).rows, key=lambda r: r.error is None)
-    assert failed.error == "a must be finite, got nan" and failed.estimate is None
-    assert ok.error is None and ok.estimate is not None
+    for quantity, grids, n_steps, message in (
+        ("cdf", {"a": (math.nan, 1.0)}, 8, "a must be finite, got nan"),
+        ("cdf", {"a": (1.0,), "t": (math.nan, 1.0)}, 8, "t must be finite, got nan"),
+        # on the default grid the step count itself reads the horizon
+        ("cdf", {"a": (1.0,), "t": (math.nan, 1.0)}, None, "t must be finite, got nan"),
+        # an option cell fails when its OptionSpec is built
+        ("price", {"sigma": (-1.0, 1.0)}, 8, "sigma must be positive, got -1.0"),
+        ("price", {"sigma": (1e200, 1.0)}, 8, "horizon sigma^2 expiry must be finite, got inf"),
+    ):
+        spec = SweepSpec(quantity, grids, (64,), (1, 2), ("naive", "identity"), n_steps=n_steps)
+        rows = run_sweep(spec).rows
+        failed = [r for r in rows if r.error is not None]
+        ok = [r for r in rows if r.error is None]
+        # one error row per (n_paths, seed, method), the rest of the sweep intact
+        assert len(failed) == len(ok) == 4, (quantity, grids, n_steps)
+        assert all(r.error == message and r.estimate is None for r in failed)
+        assert all(r.estimate is not None for r in ok)
 
 
 def test_greek_quantity_sweep():

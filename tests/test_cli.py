@@ -47,9 +47,10 @@ def test_help_exits_zero_and_shows_defaults():
 
 
 def test_usage_error_exit_one_with_remedy():
-    code, _, err = invoke("cdf")  # missing required --a
-    assert code == 1
-    assert "remedy" in err
+    for argv in (("cdf",), ("joint", "--a", "1")):  # missing required --a, or --b
+        code, _, err = invoke(*argv)
+        assert code == 1
+        assert "remedy" in err
 
 
 def test_unknown_flag_rejected():
@@ -73,6 +74,13 @@ def test_domain_error_exit_two():
     (("joint", "--b", "inf", "--a", "1"), "b must be finite"),
     (("kernel", "--a", "1", "--nu", "nan"), "nu must be finite"),
     (("bias", "--t", "nan"), "t must be finite"),
+    # finite inputs whose horizon or scale is not a positive finite number
+    (("price", "--sigma", "1e200"), "horizon sigma^2 expiry must be finite"),
+    (("greeks", "--sigma", "1e200"), "horizon sigma^2 expiry must be finite"),
+    (("price", "--sigma", "1e-200"), "horizon sigma^2 expiry must be positive"),
+    (("price", "--s0", "1e-320"), "scale sigma^2 strike expiry / s0 must be finite"),
+    (("price", "--s0", "1e300", "--strike", "1e-300"),
+     "scale sigma^2 strike expiry / s0 must be positive"),
 ])
 def test_nonfinite_input_exits_two_naming_the_parameter(argv, message):
     code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
@@ -175,6 +183,9 @@ OPTION_ARGS = ("--s0", "1", "--strike", "1", "--sigma", "1", "--rate", "0.05", "
 # and the flags the CSV adds to the estimate's own
 ROUND_TRIPS = [
     (("price", *OPTION_ARGS), lambda cfg, m: am.price(SPEC, cfg, m), {}),
+    # the parameter flags' defaults
+    (("price",), lambda cfg, m: am.price(am.OptionSpec(1, 1, 1, 0, 1), cfg, m), {}),
+    (("cdf", "--a", "1"), lambda cfg, m: am.cdf(1.0, 1.0, 0.0, cfg, m), {}),
     (("cdf", "--a", "1", "--nu", "0"), lambda cfg, m: am.cdf(1.0, 1.0, 0.0, cfg, m), {}),
     (("cdf", "--a", "1", "--nu", "1"), lambda cfg, m: am.cdf(1.0, 1.0, 1.0, cfg, m), {}),
     (("density", "--a", "1"), lambda cfg, m: am.density(1.0, 1.0, cfg, m),

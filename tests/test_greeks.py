@@ -41,6 +41,16 @@ def test_spec_validation():
         OptionSpec(1.0, 1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="expiry"):
         OptionSpec(1.0, 1.0, 1.0, 0.0, 0.0)
+    # finite inputs whose horizon sigma^2 expiry or scale sigma^2 k expiry / s0
+    # is not a positive finite number (zero scale is the zero strike's)
+    for fields, message in (((1.0, 1.0, 1e200, 0.0, 1.0), "horizon .* finite"),
+                            ((1.0, 1.0, 1e-200, 0.0, 1.0), "horizon .* positive"),
+                            ((1.0, 1.0, 1e150, 0.0, 1e100), "horizon .* finite"),
+                            ((1e-320, 1.0, 1.0, 0.0, 1.0), "scale .* finite"),
+                            ((1e300, 1e-300, 1.0, 0.0, 1.0), "scale .* positive")):
+        with pytest.raises(ValueError, match=message):
+            OptionSpec(*fields)
+    assert OptionSpec(1e300, 0.0, 1.0, 0.0, 1.0).scale_a == 0.0
 
 
 def test_derived_scale_and_horizon():
