@@ -17,8 +17,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import greeks  # noqa: F401 -- adds the option rows to QUANTITIES
-from .estimators import QUANTITIES, Estimate, _estimate, _shared_ensembles, _wrap, stable_exp_rate
-from .paths import MCConfig, _integer, _simulate, default_steps
+from .estimators import QUANTITIES, Estimate, _call_keys, _estimate, _wrap, stable_exp_rate
+from .paths import MCConfig, _batches, _integer, _simulate_all, default_steps
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,22 @@ class SweepSpec:
         bad = set(self.methods) - set(q.methods)
         if bad:
             raise ValueError(f"methods {sorted(bad)} not valid for {self.quantity}")
+        if self.n_steps is not None and _integer("n_steps", self.n_steps) < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated cell; ``error`` is set (and estimate None) if it raised."""
+    """One evaluated cell; ``error`` is set (and estimate None) if it raised.
+
+    ``n_steps`` is the grid the estimate was made on: the sweep's step count,
+    or on the default grid the default for the cell's horizon.  An error row
+    holds the sweep's step count, None on the default grid.
+    """
 
     point: tuple[tuple[str, float], ...]
     n_paths: int
+    n_steps: int | None
     method: str
     seed: int
     estimate: Estimate | None
@@ -151,7 +159,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
             horizon = q.horizon(args)
             steps = spec.n_steps or default_steps(horizon)
         except ValueError as exc:
-            errors.update(((pt, n, m, seed), SweepRow(pt, n, m, seed, None, str(exc)))
+            errors.update(((pt, n, m, seed), SweepRow(pt, n, spec.n_steps, m, seed, None, str(exc)))
                           for n in spec.n_paths for seed in spec.seeds for m in spec.methods)
             continue
         for n in spec.n_paths:
@@ -160,17 +168,19 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
 
     todo = [(MCConfig(n_paths=n, n_steps=steps, master_seed=seed, antithetic=spec.antithetic),
              pts) for (_, n, steps, seed), pts in sorted(groups.items())]
-    ensembles = _shared_ensembles(((cfg, [(spec.quantity, m, args) for args in pts.values()
-                                          for m in spec.methods]) for cfg, pts in todo), threads)
+    ensembles = _batches(((_call_keys((spec.quantity, m, args) for args in pts.values()
+                                      for m in spec.methods), cfg) for cfg, pts in todo), threads)
     rows = list(errors.values())
     for (cfg, pts), ens in zip(todo, ensembles):
         for pt, args in pts.items():
             for method in spec.methods:
                 try:
                     est = _estimate(q, cfg, method, ens, **args)
-                    rows.append(SweepRow(pt, cfg.n_paths, method, cfg.master_seed, est))
+                    rows.append(SweepRow(pt, cfg.n_paths, cfg.n_steps, method, cfg.master_seed,
+                                         est))
                 except Exception as exc:
-                    rows.append(SweepRow(pt, cfg.n_paths, method, cfg.master_seed, None, str(exc)))
+                    rows.append(SweepRow(pt, cfg.n_paths, spec.n_steps, method, cfg.master_seed,
+                                         None, str(exc)))
     rows.sort(key=lambda r: r.sort_key)
     return SweepResult(spec=spec, rows=tuple(rows))
 
@@ -207,8 +217,8 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     if any(finest % s for s in steps):
         raise ValueError("every step count must divide the finest one")
     started = time.perf_counter()
-    grids = _simulate(((t, nu, finest // s) for s in steps), replace(cfg, n_steps=finest),
-                      threads)
+    grids = next(_simulate_all([(((t, nu, finest // s) for s in steps),
+                                 replace(cfg, n_steps=finest))], threads))
     target = stable_exp_rate(nu, t)
     out = []
     for s in steps:

@@ -23,8 +23,7 @@ import sys
 from typing import Mapping, Sequence
 
 from . import bench, greeks
-from .estimators import (IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _estimate,
-                         _fd_bandwidth, shared_ensemble)
+from .estimators import IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _estimate, shared_ensemble
 from .paths import MCConfig, default_steps
 
 CSV_HEADER = (
@@ -65,7 +64,7 @@ def _fmt(value) -> str:
 
 
 def _row(quantity: str, method: str, est: Estimate | None, params: Mapping, n_paths: int,
-         n_steps: int | str, seed: int, flags: Sequence[str] = ()) -> list[str]:
+         n_steps: int | None, seed: int, flags: Sequence[str] = ()) -> list[str]:
     """One CSV row; the parameter columns are read from ``params`` by name,
     and a ``b`` parameter, which has no column, leads the flags.  Without an
     estimate (a failed sweep cell) the estimate and stderr fields stay empty."""
@@ -214,14 +213,8 @@ def _run_quantity(args) -> list[list[str]]:
     cfg = _cfg(args, q.horizon(call))
     ens = shared_ensemble(cfg, [(name, m, call) for m in methods], threads=args.threads)
     options = {"bandwidth": args.bandwidth} if "bandwidth" in args else {}
-    rows = []
-    for m in methods:
-        est = _estimate(q, cfg, m, ens, **call, **options)
-        flags = (f"h={_fd_bandwidth(args.a, args.bandwidth):.17g}",) \
-            if options and m == NAIVE else ()
-        rows.append(_row(name, m, est, vars(args), cfg.n_paths, cfg.n_steps,
-                         cfg.master_seed, flags))
-    return rows
+    return [_row(name, m, _estimate(q, cfg, m, ens, **call, **options), vars(args),
+                 cfg.n_paths, cfg.n_steps, cfg.master_seed) for m in methods]
 
 
 def _run_greeks(args) -> list[list[str]]:
@@ -250,32 +243,28 @@ def _parse_grid(items: list[str]) -> dict[str, tuple[float, ...]]:
         name, _, values = item.partition("=")
         if not values:
             raise ValueError(f"grid {item!r} is not of the form name=v1,v2,...")
-        grids[name.strip()] = _parse_list(f"--grid {name.strip()}", values, float)
+        name = name.strip()
+        if name in grids:
+            raise ValueError(f"--grid {name} is given twice")
+        grids[name] = _parse_list(f"--grid {name}", values, float)
     return grids
 
 
 def _run_sweep(args) -> list[list[str]]:
-    q = QUANTITIES[args.quantity]
     spec = bench.SweepSpec(
         quantity=args.quantity,
         grids=_parse_grid(args.grid),
         n_paths=(args.paths,) if args.paths_grid is None
         else _parse_list("--paths-grid", args.paths_grid, int),
         seeds=(args.seed,) if args.seeds is None else _parse_list("--seeds", args.seeds, int),
-        methods=tuple(q.methods) if args.method == "both" else (args.method,),
+        methods=tuple(QUANTITIES[args.quantity].methods) if args.method == "both"
+        else (args.method,),
         n_steps=args.steps,
         antithetic=args.antithetic,
     )
-    rows = []
-    for row in bench.run_sweep(spec, threads=args.threads).rows:
-        pt = dict(row.point)
-        if row.error is None:
-            flags, steps = (), spec.n_steps or default_steps(q.horizon(q.arguments(pt)))
-        else:
-            flags, steps = (f"error={row.error}",), spec.n_steps or ""
-        rows.append(_row(args.quantity, row.method, row.estimate, pt, row.n_paths, steps,
-                         row.seed, flags))
-    return rows
+    return [_row(args.quantity, row.method, row.estimate, dict(row.point), row.n_paths,
+                 row.n_steps, row.seed, () if row.error is None else (f"error={row.error}",))
+            for row in bench.run_sweep(spec, threads=args.threads).rows]
 
 
 def _run_bias(args) -> list[list[str]]:

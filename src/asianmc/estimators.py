@@ -35,12 +35,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .paths import (NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _check_key, _simulate,
-                    _simulate_all, check_param)
+from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _batches, _check_key, check_param
 
 NAIVE = "naive"
 IDENTITY = "identity"
@@ -121,8 +120,7 @@ def _ensemble_for(
                              f"{b.cfg}, but the call is at t={t} with {cfg}")
     missing = [key for key in keys if key not in have]
     if missing:
-        grids = _simulate(((h, nu, 1) for h, nu in missing), cfg)
-        have.update(((h, nu), PathBatch(h, nu, *grids[h, nu, 1], cfg)) for h, nu in missing)
+        have.update(next(_batches([(missing, cfg)])))
     return have
 
 
@@ -329,13 +327,13 @@ def _fd_bandwidth(a: float, bandwidth: float | None) -> float:
     return h
 
 
-def _density_naive_values(ens, a, t, bandwidth=None, **_) -> np.ndarray:
+def _density_naive_values(ens, a, t, bandwidth=None, **_):
     h = _fd_bandwidth(a, bandwidth)
     integ = ens[t, 0.0].integral
     values = (integ <= a + h).astype(float)
     values -= integ <= a - h
     values /= 2.0 * h
-    return values
+    return values, None, (f"h={h:.17g}",)
 
 
 def _excess(integ, a, h=0.0, out=None) -> np.ndarray:
@@ -346,7 +344,7 @@ def _excess(integ, a, h=0.0, out=None) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _kernel_d2_naive_values(ens, a, t, bandwidth=None, **_) -> np.ndarray:
+def _kernel_d2_naive_values(ens, a, t, bandwidth=None, **_):
     # (max(A - a - h, 0) - 2 max(A - a, 0) + max(A - a + h, 0)) / h^2, in
     # that order, in one output and one scratch buffer
     h = _fd_bandwidth(a, bandwidth)
@@ -357,7 +355,7 @@ def _kernel_d2_naive_values(ens, a, t, bandwidth=None, **_) -> np.ndarray:
     values -= scratch
     values += _excess(integ, a, h, out=scratch)
     values /= h**2
-    return values
+    return values, None, (f"h={h:.17g}",)
 
 
 def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
@@ -416,7 +414,10 @@ class Quantity:
     the (horizon, drift) keys it reads; ``values(ensemble, **args)`` gets the
     batches keyed by (horizon, drift) and returns the per-path values, or
     ``(values, mean, flags)`` where the mean or the flags are not the plain
-    ones.  A closed form is table data too: :meth:`exact` returns the
+    ones (a finite-difference row names its bandwidth ``h=`` there).
+    :meth:`threshold` is the level the integral is compared with, if any;
+    a grid whose dt/2 reaches it cannot resolve it, and the estimate says
+    so.  A closed form is table data too: :meth:`exact` returns the
     quantity's exact value at arguments where it has one (the option rows at
     strike 0), and such a call reads no key and draws nothing.
     ``defaults`` are the sweep's grid defaults and the command line's flag
@@ -433,6 +434,11 @@ class Quantity:
 
     def horizon(self, args: Mapping) -> float:
         return args["t"]
+
+    def threshold(self, args: Mapping) -> float | None:
+        """The level the integral is compared with: the argument ``a``, or
+        None for a quantity without one."""
+        return args.get("a")
 
     def check(self, args: Mapping) -> None:
         for name, bound in self.params.items():
@@ -507,10 +513,11 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
     out = q.methods[method][1](ens, **args)
     values, mean, flags = out if isinstance(out, tuple) else (out, None, ())
     dt = horizon / cfg.n_steps
-    if "a" in args and args["a"] <= dt / 2:
+    threshold = q.threshold(args)
+    if threshold is not None and threshold <= dt / 2:
         # every trapezoid integral is at least dt/2, since X_0 = 1: the grid
         # cannot resolve a threshold this low
-        flags += (f"coarse-grid(dt={dt:.17g})",)
+        flags = (f"coarse-grid(dt={dt:.17g})",) + flags
     return _wrap(values, method, started, flags, mean)
 
 
@@ -546,19 +553,7 @@ def shared_ensemble(cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
     method the quantity rejects, or that read a negative horizon, add no
     key; made with this ensemble, they raise their own error.
     """
-    return next(_shared_ensembles([(cfg, calls)], threads))
-
-
-def _shared_ensembles(groups: Iterable[tuple[MCConfig, Iterable[tuple[str, str, Mapping]]]],
-                      threads: int | None = None) -> Iterator[dict[tuple, PathBatch]]:
-    """The :func:`shared_ensemble` of each ``(cfg, calls)`` group, in turn.
-
-    All groups are drawn by one :func:`~asianmc.paths._simulate_all`, so the
-    chunks of consecutive small groups share the ``threads`` workers."""
-    groups = [(cfg, _call_keys(calls)) for cfg, calls in groups]
-    grids = _simulate_all(((((h, nu, 1) for h, nu in keys), cfg) for cfg, keys in groups), threads)
-    for (cfg, keys), grid in zip(groups, grids):
-        yield {(h, nu): PathBatch(h, nu, *grid[h, nu, 1], cfg) for h, nu in keys}
+    return next(_batches([(_call_keys(calls), cfg)], threads))
 
 
 # ---------------------------------------------------------------------------

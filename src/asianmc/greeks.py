@@ -295,7 +295,8 @@ class _Option(Quantity):
     At strike 0 the payoff is the average itself, so every row is exact
     there: the price is s0 e^{-r tau}, delta e^{-r tau} and every other
     sensitivity 0.  ``zero_strike(spec)`` is the row's value, 0 unless the
-    row says otherwise.
+    row says otherwise.  The threshold the integral is compared with is the
+    scale a = sigma^2 k tau / s0.
     """
 
     zero_strike: Callable[[OptionSpec], float] = lambda spec: 0.0
@@ -306,6 +307,9 @@ class _Option(Quantity):
 
     def horizon(self, args: Mapping) -> float:
         return args["spec"].horizon
+
+    def threshold(self, args: Mapping) -> float | None:
+        return args["spec"].scale_a
 
     def check(self, args: Mapping) -> None:
         pass

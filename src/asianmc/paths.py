@@ -309,13 +309,23 @@ def _simulate_all(
     yield from window
 
 
-def _simulate(
-    keys: Iterable[tuple[float, float, int]], cfg: MCConfig, threads: int | None = None
-) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
-    """(terminal, integral) arrays of cfg.n_paths paths for each (t, nu, k)
-    key: the one draw of :func:`_simulate_all`, its chunks spread over
-    ``threads``."""
-    return next(_simulate_all([(keys, cfg)], threads))
+def _batches(
+    draws: Iterable[tuple[Iterable[tuple[float, float]], MCConfig]],
+    threads: int | None = None,
+) -> Iterator[dict[tuple[float, float], PathBatch]]:
+    """For each ``(keys, cfg)`` draw in turn, its :class:`PathBatch` at each
+    (t, nu) key on the full grid, keyed by that pair.
+
+    Every draw is made by one :func:`_simulate_all` call, so the chunks of
+    consecutive small draws share the ``threads`` workers.  This is the one
+    place that turns the path core's arrays into batches: the ensembles of
+    :func:`sample_ensemble`, of the estimators and of a sweep all come from
+    here.
+    """
+    draws = [(tuple(keys), cfg) for keys, cfg in draws]
+    grids = _simulate_all(((((t, nu, 1) for t, nu in keys), cfg) for keys, cfg in draws), threads)
+    for (keys, cfg), grid in zip(draws, grids):
+        yield {(t, nu): PathBatch(t, nu, *grid[t, nu, 1], cfg) for t, nu in keys}
 
 
 def sample_ensemble(
@@ -346,8 +356,8 @@ def sample_ensemble(
     nus = tuple(dict.fromkeys(float(nu) for nu in nus))
     if not nus:
         raise ValueError("at least one drift value is required")
-    out = _simulate(((t, nu, 1) for nu in nus), cfg, threads)
-    return {nu: PathBatch(t, nu, *out[t, nu, 1], cfg) for nu in nus}
+    ens = next(_batches([(((t, nu) for nu in nus), cfg)], threads))
+    return {nu: batch for (_, nu), batch in ens.items()}
 
 
 def sample_batch(t: float, nu: float, cfg: MCConfig, threads: int | None = None) -> PathBatch:

@@ -22,6 +22,18 @@ def test_sweep_spec_validation():
         SweepSpec("cdf", {"a": (1.0,)}, (10,), (1,), ("fd",))
     with pytest.raises(ValueError, match="requires a grid"):
         run_sweep(SweepSpec("joint_cdf", {"a": (1.0,)}, (10,), (1,), ("naive",)))
+    for n_steps, message in ((0, "n_steps must be >= 1, got 0"),
+                             (8.0, "n_steps must be an integer"),
+                             (True, "n_steps must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec("cdf", {"a": (1.0,)}, (10,), (1,), ("naive",), n_steps=n_steps)
+
+
+def test_rows_carry_their_step_count():
+    # on the default grid each cell's horizon sets it
+    rows = run_sweep(SweepSpec("cdf", {"a": (1.0,), "t": (0.5, 1.0)}, (64,), (1,),
+                               ("naive",))).rows
+    assert [(dict(r.point)["t"], r.n_steps) for r in rows] == [(0.5, 512), (1.0, 1024)]
 
 
 SPEC = am.OptionSpec(1.0, 1.0, 1.0, 0.05, 1.0)
@@ -125,6 +137,9 @@ def test_nonfinite_grid_value_is_a_row_error():
         assert len(failed) == len(ok) == 4, (quantity, grids, n_steps)
         assert all(r.error == message and r.estimate is None for r in failed)
         assert all(r.estimate is not None for r in ok)
+        # an error row holds the sweep's step count, None on the default grid
+        assert all(r.n_steps == n_steps for r in failed)
+        assert all(r.n_steps == (n_steps or 1024) for r in ok)
 
 
 def test_greek_quantity_sweep():

@@ -188,11 +188,9 @@ ROUND_TRIPS = [
     (("cdf", "--a", "1"), lambda cfg, m: am.cdf(1.0, 1.0, 0.0, cfg, m), {}),
     (("cdf", "--a", "1", "--nu", "0"), lambda cfg, m: am.cdf(1.0, 1.0, 0.0, cfg, m), {}),
     (("cdf", "--a", "1", "--nu", "1"), lambda cfg, m: am.cdf(1.0, 1.0, 1.0, cfg, m), {}),
-    (("density", "--a", "1"), lambda cfg, m: am.density(1.0, 1.0, cfg, m),
-     {"naive": ("h=0.050000000000000003",)}),
+    (("density", "--a", "1"), lambda cfg, m: am.density(1.0, 1.0, cfg, m), {}),
     (("density", "--a", "1", "--bandwidth", "0.1"),
-     lambda cfg, m: am.density(1.0, 1.0, cfg, m, bandwidth=0.1),
-     {"naive": ("h=0.10000000000000001",)}),
+     lambda cfg, m: am.density(1.0, 1.0, cfg, m, bandwidth=0.1), {}),
     (("joint", "--b", "1", "--a", "1"), lambda cfg, m: am.joint_cdf(1.0, 1.0, 1.0, cfg, m),
      {"naive": ("b=1",), "identity": ("b=1",)}),
     (("kernel", "--a", "0.4", "--order", "0", "--nu", "0.5"),
@@ -245,6 +243,12 @@ def test_coarse_grid_flag_when_the_grid_cannot_resolve_a():
         assert code == 0 and [r["flags"] for r in rows] == ["coarse-grid(dt=2.5)"] * 2
         if quantity == "cdf":
             assert (rows[0]["method"], rows[0]["estimate"], rows[0]["stderr"]) == ("naive", "0", "0")
+    # an option row's threshold is its scale a = sigma^2 k tau / s0, here
+    # 0.01 <= dt/2 = 1/16; the pricing-relation theta and the vega read it too
+    for command in ("price", "greeks"):
+        code, out, _ = invoke(command, "--strike", "0.01", "--steps", "8", "--paths", "2000")
+        rows = parse(out)
+        assert code == 0 and {r["flags"] for r in rows} == {"coarse-grid(dt=0.125)"}
     # above dt/2, or on a finer grid, nothing is added
     for argv in (("--a", "1.26", "--t", "20", "--steps", "8"),
                  ("--a", "1", "--t", "20", "--steps", "16")):
@@ -273,7 +277,15 @@ def test_joint_and_density_and_bias_rows():
     code, out, _ = invoke("density", "--a", "1", "--t", "1", "--paths", "1000",
                           "--steps", "32", "--method", "naive")
     rows = parse(out)
-    assert "h=" in rows[0]["flags"]
+    assert rows[0]["flags"] == "h=0.050000000000000003"
+    # every naive finite-difference row names its bandwidth: the kernel's
+    # second derivative and both quantities swept at one point
+    for argv in (("kernel", "--a", "1", "--order", "2"),
+                 ("sweep", "--quantity", "density", "--grid", "a=1"),
+                 ("sweep", "--quantity", "call_kernel_d2", "--grid", "a=1")):
+        code, out, err = invoke(*argv, "--paths", "1000", "--steps", "32", "--method", "naive")
+        assert code == 0, err
+        assert [r["flags"] for r in parse(out)] == [rows[0]["flags"]], argv
 
     code, out, _ = invoke("bias", "--t", "1", "--nu", "1", "--paths", "2000",
                           "--steps-grid", "16,64,256")
@@ -300,7 +312,11 @@ def test_sweep_rows_and_determinism():
     (("sweep", "--quantity", "cdf", "--grid", "a=1,x"), "--grid a"),
     (("sweep", "--quantity", "cdf", "--grid", "a=1", "--seeds", "1,x"), "--seeds"),
     (("sweep", "--quantity", "cdf", "--grid", "a=1", "--paths-grid", "64,y"), "--paths-grid"),
-], ids=["nonsense", "steps-grid", "grid", "seeds", "paths-grid"])
+    (("sweep", "--quantity", "cdf", "--grid", "a=1", "--steps", "0"),
+     "n_steps must be >= 1, got 0"),
+    (("sweep", "--quantity", "cdf", "--grid", "a=1", "--grid", "a=2"),
+     "--grid a is given twice"),
+], ids=["nonsense", "steps-grid", "grid", "seeds", "paths-grid", "steps", "repeated-grid"])
 def test_sweep_bad_grid_is_domain_error(argv, option):
     code, out, err = invoke(*argv)
     assert code == 2 and out == ""
@@ -384,3 +400,13 @@ def test_library_imports_only_numpy_and_the_standard_library():
                 continue
             for name in names:
                 assert name.partition(".")[0] in ALLOWED_IMPORTS, (source.name, name)
+
+
+def test_only_the_path_module_makes_path_batches():
+    # paths turns the path core's arrays into batches; every other module
+    # asks it for them
+    for source in Path(am.__file__).parent.glob("*.py"):
+        calls = [node.lineno for node in ast.walk(ast.parse(source.read_text()))
+                 if isinstance(node, ast.Call) and "PathBatch" in
+                 (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert source.name == "paths.py" or not calls, (source.name, calls)

@@ -694,6 +694,9 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
         }
         for (quantity, method), (args, expected) in want.items():
             got = QUANTITIES[quantity].methods[method][1](ens, a=a, t=1.0, **args)
+            if "bandwidth" in args:  # a finite-difference row names its bandwidth
+                got, mean, flags = got
+                assert (mean, flags) == (None, (f"h={h:.17g}",)), (quantity, a)
             assert _same_bits(got, expected), (quantity, method, a)
             before = got.copy()
             e = _wrap(got, method, time.perf_counter())

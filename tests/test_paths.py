@@ -161,10 +161,10 @@ def test_chunk_pool_shape(monkeypatch):
     cfg = MCConfig(2501, 8, 42)  # three chunks
     for threads, made in ((None, []), (1, []), (2, [1]), (8, [2])):
         pools.clear()
-        asianmc.paths._simulate([(1.0, 0.0, 1)], cfg, threads)
+        next(asianmc.paths._simulate_all([([(1.0, 0.0, 1)], cfg)], threads))
         assert pools == made, threads
     with pytest.raises(ValueError, match="threads"):
-        asianmc.paths._simulate([(1.0, 0.0, 1)], cfg, 0)
+        next(asianmc.paths._simulate_all([([(1.0, 0.0, 1)], cfg)], 0))
     # a sweep draws its groups through the same pool: two one-chunk groups
     # are drawn together on two workers, so the one pool of one thread is
     # the only thread started, whatever pool would start another
@@ -275,7 +275,7 @@ def test_horizons_drifts_and_strides_share_one_draw():
     keys = [(1.0, 0.0, 1), (1.0, 1.0, 1), (1.2, 0.0, 1), (1.0, 1.0, 64),
             (1.5, 1.0, 1), (1.5, -0.5, 1)]
     keys += [(0.0, nu, k) for nu in (0.0, 2.5, -1.0) for k in (1, 4)]
-    out = asianmc.paths._simulate(keys, CFG)
+    out = next(asianmc.paths._simulate_all([(keys, CFG)]))
     for t, nu in ((1.0, 0.0), (1.0, 1.0), (1.2, 0.0), (1.5, 1.0), (1.5, -0.5)):
         batch = sample_batch(t, nu, CFG)
         np.testing.assert_array_equal(out[t, nu, 1][0], batch.terminal)
@@ -338,7 +338,7 @@ def test_streamed_blocks_equal_a_whole_chunk_draw(n_paths, antithetic, n_steps):
     keys = [(spec.horizon, 0.0, 1), (spec.horizon, 1.0, 1)]
     keys += [(t, nu, 1) for t, nu in _moved_keys(spec, "sigma", "vega")]
     cfg = MCConfig(n_paths, n_steps, 7, antithetic)
-    streamed = asianmc.paths._simulate(keys, cfg)
+    streamed = next(asianmc.paths._simulate_all([(keys, cfg)]))
     for key, (terminal, integral) in _whole_chunk_reference(keys, cfg).items():
         np.testing.assert_array_equal(streamed[key][0], terminal)
         np.testing.assert_array_equal(streamed[key][1], integral)
@@ -378,7 +378,7 @@ def test_shared_walk_precision_contract(horizons, n_steps, antithetic):
         horizons = (spec.horizon,) + tuple(t for t, _ in _moved_keys(spec, "sigma", "vega"))
     keys = [(t, nu, k) for t in horizons for nu in (0.0, 1.0, -0.5) for k in (1, 4)]
     cfg = MCConfig(1100, n_steps, 7, antithetic)
-    got = asianmc.paths._simulate(keys, cfg)
+    got = next(asianmc.paths._simulate_all([(keys, cfg)]))
     exact = 0
     for key, want in _scaled_steps_reference(keys, cfg).items():
         if math.frexp(math.sqrt(key[0] / n_steps))[0] == 0.5:
@@ -399,7 +399,7 @@ def test_streamed_chunk_peak_allocation():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        asianmc.paths._simulate([(1.0, 0.0, 1), (1.0, 1.0, 1)], cfg)
+        next(asianmc.paths._simulate_all([([(1.0, 0.0, 1), (1.0, 1.0, 1)], cfg)]))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
