@@ -10,7 +10,6 @@ Brownian paths.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -117,7 +116,7 @@ class SweepResult:
                  if r.estimate is not None]
         if not means:
             raise ValueError("no rows matched")
-        est = _wrap(np.asarray(means), "seed-mean", time.perf_counter())
+        est = _wrap(np.asarray(means), "seed-mean")
         return est.mean, est.stderr
 
 
@@ -216,12 +215,11 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     finest = steps[-1]
     if any(finest % s for s in steps):
         raise ValueError("every step count must divide the finest one")
-    started = time.perf_counter()
     grids = next(_simulate_all([(((t, nu, finest // s) for s in steps),
                                  replace(cfg, n_steps=finest))], threads))
     target = stable_exp_rate(nu, t)
     out = []
     for s in steps:
-        est = _wrap(grids[t, nu, finest // s][1], "nested", started)
+        est = _wrap(grids[t, nu, finest // s][1], "nested")
         out.append(BiasRow(s, est.mean, est.stderr, abs(est.mean - target)))
     return tuple(out)

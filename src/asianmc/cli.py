@@ -7,9 +7,9 @@ Output is CSV (or a pretty table) with the fixed header
 
 Absent parameters serialize as empty fields and floats use 17 significant
 digits, so identical invocations produce byte-identical files.  The wall_ms
-column is always left empty for that reason; wall times are available on the
-Estimate objects through the library API.  Exit codes: 0 success, 1 usage
-error, 2 numeric or domain error.
+column is always left empty for that reason; neither the CSV nor the
+Estimate objects carry timings.  Exit codes: 0 success, 1 usage error, 2
+numeric or domain error.
 """
 
 from __future__ import annotations

@@ -33,13 +33,13 @@ and the measurements.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _batches, _check_key, check_param
+from .paths import (NONNEGATIVE, POSITIVE, MCConfig, PathBatch, _batches, _check_key,
+                    check_formed, check_param)
 
 NAIVE = "naive"
 IDENTITY = "identity"
@@ -54,14 +54,14 @@ class Estimate:
 
     ``stderr`` is the sample standard deviation of the per-path values divided
     by sqrt(n_paths); it is reported raw, with no clamping of the mean, so
-    cross-estimator comparisons stay interpretable.
+    cross-estimator comparisons stay interpretable.  It carries no timing:
+    equal calls give equal estimates.
     """
 
     mean: float
     stderr: float
     n_paths: int
     method: str
-    wall_time_ms: float = 0.0
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -124,8 +124,8 @@ def _ensemble_for(
     return have
 
 
-def _wrap(values: np.ndarray, method: str, started: float,
-          flags: tuple[str, ...] = (), mean: float | None = None) -> Estimate:
+def _wrap(values: np.ndarray, method: str, flags: tuple[str, ...] = (),
+          mean: float | None = None) -> Estimate:
     n = len(values)
     m = values.sum() / n  # np.mean's own arithmetic, without its Python wrapper
     stderr = 0.0
@@ -133,8 +133,7 @@ def _wrap(values: np.ndarray, method: str, started: float,
         dev = values - m
         np.square(dev, out=dev)
         stderr = math.sqrt(float(dev.sum()) / (n - 1)) / math.sqrt(n)
-    wall = (time.perf_counter() - started) * 1e3
-    return Estimate(float(m) if mean is None else mean, stderr, n, method, wall, flags)
+    return Estimate(float(m) if mean is None else mean, stderr, n, method, flags)
 
 
 def stable_exp_rate(nu: float, t: float) -> float:
@@ -238,19 +237,25 @@ def cdf_identity_values(batch: PathBatch, a: float) -> np.ndarray:
     return body + tail
 
 
+def _drift_weight(batch0: PathBatch, nu: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The change-of-drift weight M^nu e^{nu t/2 - nu^2 t/2} per driftless
+    path, in ``out`` if given: its mean under the driftless law of an
+    expression in (M, A) is the drift-nu expectation of that expression."""
+    t = batch0.t
+    out = np.power(batch0.terminal, nu, out=out)
+    out *= math.exp(nu * t / 2.0 - nu * nu * t / 2.0)
+    return out
+
+
 def tilted_cdf_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray:
     """Exponential-tilt estimator of Pr[A_t^{(nu)} <= a] on driftless paths.
 
-    Weights M^nu e^{nu t/2 - nu^2 t/2} 1{A <= a}; the exact change of drift,
-    with the truncation indicator kept.  At nu = 0 this is the plain
-    indicator.
+    Weights M^nu e^{nu t/2 - nu^2 t/2} 1{A <= a} (:func:`_drift_weight`);
+    the exact change of drift, with the truncation indicator kept.
     """
-    ind = batch0.integral <= a
-    if nu == 0.0:
-        return ind.astype(float)
-    t = batch0.t
-    w = batch0.terminal ** nu * math.exp(nu * t / 2.0 - nu * nu * t / 2.0)
-    return w * ind
+    values = _drift_weight(batch0, nu)
+    values *= batch0.integral <= a
+    return values
 
 
 def kernel_identity_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray:
@@ -267,7 +272,7 @@ def kernel_identity_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray
         # degenerate paths make every per-path value (e^0-1)/nu - a + a = 0;
         # short-circuit to avoid the one-ulp exp/log round-trip residue
         return np.zeros(len(batch0))
-    m, integ = batch0.terminal, batch0.integral
+    integ = batch0.integral
     body, tail = split_weight(batch0, a)
     scratch = integ + a
     np.divide(a, scratch, out=scratch)
@@ -279,11 +284,16 @@ def kernel_identity_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray
     scratch *= tail
     values += scratch
     if nu != 0.0:
-        np.power(m, nu, out=scratch)
-        scratch *= math.exp(nu * t / 2.0 - nu * nu * t / 2.0)
-        values *= scratch
+        values *= _drift_weight(batch0, nu, out=scratch)
     values += stable_exp_rate(nu, t) - a
     return values
+
+
+def _two_over_square(a: float, name: str = "2/a^2") -> float:
+    """2/a^2, the factor of the density identities; ValueError naming
+    ``name`` where it leaves the float range (a below about 1e-154 or above
+    about 1e154)."""
+    return check_formed(name, lambda: 2.0 / a**2)
 
 
 def kernel_d2_identity_values(batch0: PathBatch, a: float) -> np.ndarray:
@@ -294,7 +304,7 @@ def kernel_d2_identity_values(batch0: PathBatch, a: float) -> np.ndarray:
     """
     m, integ = batch0.terminal, batch0.integral
     body, tail = split_weight(batch0, a)
-    c = 2.0 / a**2
+    c = _two_over_square(a)
     scratch = integ + a
     scratch *= scratch
     np.divide(m, scratch, out=scratch)
@@ -316,7 +326,7 @@ def density_identity_values(batch0: PathBatch, batch1: PathBatch, a: float) -> n
     """
     values = cdf_identity_values(batch1, a)
     np.subtract(cdf_identity_values(batch0, a), values, out=values)
-    values *= 2.0 / a**2
+    values *= _two_over_square(a)
     return values
 
 
@@ -354,7 +364,8 @@ def _kernel_d2_naive_values(ens, a, t, bandwidth=None, **_):
     scratch *= 2.0
     values -= scratch
     values += _excess(integ, a, h, out=scratch)
-    values /= h**2
+    values /= check_formed(f"bandwidth h^2 (h = {NAIVE_DENSITY_BW} a by default)",
+                           lambda: h**2, POSITIVE)
     return values, None, (f"h={h:.17g}",)
 
 
@@ -371,12 +382,6 @@ def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
     np.less_equal(m, b, out=keep)
     keep &= tail
     values += keep
-    return values
-
-
-def _kernel_d1_identity_values(ens, a, t, **_) -> np.ndarray:
-    values = cdf_identity_values(ens[t, 0.0], a)
-    values -= 1.0
     return values
 
 
@@ -458,13 +463,17 @@ class Quantity:
             (self.horizon(args), args[d] if isinstance(d, str) else d) for d in reads))
 
 
+# the CDF's methods; call_kernel_d1, d/da E[(A_t - a)^+] = -1 + Pr[A_t <= a],
+# is each of them at drift 0, minus 1
+_CDF_METHODS = {
+    NAIVE: (("nu",), lambda ens, a, t, nu, **_: (ens[t, nu].integral <= a).astype(float)),
+    IDENTITY: (("nu",), lambda ens, a, t, nu, **_: cdf_identity_values(ens[t, nu], a)),
+}
+
 # Every quantity the sweep and the command line know, by public function
 # name; asianmc.greeks adds the option quantities (price and four Greeks).
 QUANTITIES: dict[str, Quantity] = {
-    "cdf": Quantity({"a": POSITIVE, "t": None, "nu": None}, {
-        NAIVE: (("nu",), lambda ens, a, t, nu, **_: (ens[t, nu].integral <= a).astype(float)),
-        IDENTITY: (("nu",), lambda ens, a, t, nu, **_: cdf_identity_values(ens[t, nu], a)),
-    }),
+    "cdf": Quantity({"a": POSITIVE, "t": None, "nu": None}, _CDF_METHODS),
     "density": Quantity({"a": POSITIVE, "t": POSITIVE}, {
         NAIVE: ((0.0,), _density_naive_values),
         IDENTITY: ((0.0, 1.0),
@@ -480,9 +489,8 @@ QUANTITIES: dict[str, Quantity] = {
         IDENTITY: ((0.0,), lambda ens, a, t, nu, **_: kernel_identity_values(ens[t, 0.0], a, nu)),
     }),
     "call_kernel_d1": Quantity({"a": POSITIVE, "t": POSITIVE}, {
-        NAIVE: ((0.0,), lambda ens, a, t, **_: -1.0 + (ens[t, 0.0].integral <= a).astype(float)),
-        IDENTITY: ((0.0,), _kernel_d1_identity_values),
-    }),
+        method: ((0.0,), lambda ens, a, t, cdf_values=values, **_: cdf_values(ens, a, t, 0.0) - 1.0)
+        for method, (_, values) in _CDF_METHODS.items()}),
     "call_kernel_d2": Quantity({"a": POSITIVE, "t": POSITIVE}, {
         NAIVE: ((0.0,), _kernel_d2_naive_values),
         IDENTITY: ((0.0,), lambda ens, a, t, **_: kernel_d2_identity_values(ens[t, 0.0], a)),
@@ -499,7 +507,6 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
     """Estimate row ``q`` at ``args`` (its parameters, as from
     :meth:`Quantity.arguments`, and any keyword-only extras such as
     ``bandwidth``) with ``method``, reading ``ensemble`` where it has the keys."""
-    started = time.perf_counter()
     q.check(args)
     if cfg is None:
         raise ValueError("an MCConfig is required")
@@ -507,7 +514,7 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
         raise ValueError(f"unknown method {method!r}")
     exact = q.exact(args)
     if exact is not None:
-        return Estimate(exact, 0.0, cfg.n_paths, method, 0.0, ("closed-form",))
+        return Estimate(exact, 0.0, cfg.n_paths, method, ("closed-form",))
     horizon = q.horizon(args)
     ens = _ensemble_for(horizon, q.keys(method, args), cfg, ensemble)
     out = q.methods[method][1](ens, **args)
@@ -518,7 +525,7 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
         # every trapezoid integral is at least dt/2, since X_0 = 1: the grid
         # cannot resolve a threshold this low
         flags = (f"coarse-grid(dt={dt:.17g})",) + flags
-    return _wrap(values, method, started, flags, mean)
+    return _wrap(values, method, flags, mean)
 
 
 def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float]]:

@@ -44,6 +44,7 @@ from .estimators import (
     Quantity,
     _estimate,
     _excess,
+    _two_over_square,
     density_identity_values,
     kernel_identity_values,
     shared_ensemble,
@@ -51,7 +52,7 @@ from .estimators import (
     tilted_cdf_values,
     weighted_cdf_values,
 )
-from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_param
+from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_formed, check_param
 
 FD = "fd"
 
@@ -61,6 +62,8 @@ FD_REL_STEP = {"delta": 1e-2, "gamma": 5e-2, "theta": 5e-2, "vega": 1e-2}
 # The OptionSpec fields and the bound each is held to.
 OPTION_PARAMS = {"s0": POSITIVE, "strike": NONNEGATIVE, "sigma": POSITIVE,
                  "rate": NONNEGATIVE, "expiry": POSITIVE}
+# the name of the derived scale a, the level the integral is compared with
+SCALE = "scale sigma^2 strike expiry / s0"
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,8 @@ class OptionSpec:
     def __post_init__(self) -> None:
         for name, bound in OPTION_PARAMS.items():
             check_param(name, getattr(self, name), bound)
-        try:
-            horizon, scale = self.horizon, self.scale_a
-        except OverflowError:  # sigma**2 past the largest float
-            horizon = scale = math.inf
-        check_param("horizon sigma^2 expiry", horizon, POSITIVE)
-        check_param("scale sigma^2 strike expiry / s0", scale,
-                    POSITIVE if self.strike > 0.0 else NONNEGATIVE)
+        check_formed("horizon sigma^2 expiry", lambda: self.horizon, POSITIVE)
+        check_formed(SCALE, lambda: self.scale_a, POSITIVE if self.strike > 0.0 else NONNEGATIVE)
 
     @property
     def scale_a(self) -> float:
@@ -162,25 +160,15 @@ def delta_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
 
 
 def gamma_identity_values(spec: OptionSpec, batch0: PathBatch, batch1: PathBatch) -> np.ndarray:
+    """The density identity at the scale, times sigma^2 k^2 tau / s0^3 e^{-r tau};
+    each factor raises naming what it is formed from where it leaves the
+    float range."""
+    _two_over_square(spec.scale_a, f"2/scale^2 ({SCALE})")  # named here; density forms it too
+    factor = check_formed("gamma factor sigma^2 strike^2 expiry / s0^3", lambda: (
+        spec.sigma**2 * spec.strike**2 * spec.expiry / spec.s0**3 * spec.discount))
     values = density_identity_values(batch0, batch1, spec.scale_a)
-    values *= spec.sigma**2 * spec.strike**2 * spec.expiry / spec.s0**3 * spec.discount
+    values *= factor
     return values
-
-
-def vega_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
-    """Vega per path from survival probabilities on shared driftless paths.
-
-    -(2/sigma) price + (2 s0/sigma) e^{-r tau} P[A^{(1)} > a]
-                     - (2 k/sigma) e^{-r tau} P[A > a],
-    with the drift-1 survival through the exponential-tilt weight M 1{A<=a}
-    (:func:`~asianmc.estimators.tilted_cdf_values`) and the driftless
-    survival through the plain indicator.  Both discount
-    factors follow the price derivative; see vega() for the undiscounted
-    printed variant and vega_weighted() for the indicator-free route.
-    """
-    a = spec.scale_a
-    return _vega_relation(spec, price_identity_values(spec, batch0),
-                          1.0 - tilted_cdf_values(batch0, a, 1.0), 1.0 - (batch0.integral <= a))
 
 
 def _vega_relation(spec: OptionSpec, pv: np.ndarray, surv1: np.ndarray,
@@ -232,9 +220,16 @@ def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray, g: np.ndar
     return r * p - r * s0 * d / d_den - 0.5 * sig**2 * s0 * g / g_den, mean, ()
 
 
-def _delta_fd_values(ens, spec, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "s0", "delta", ens)
-    return (up - dn) / (2.0 * h)
+def _first_difference(name: str, step: str, sign: float = 1.0):
+    """The ``(reads, values)`` of a finite-difference row: the central
+    difference sign (price(x + h) - price(x - h)) / 2h of the naive price in
+    field ``name``, with the moves of :func:`_moved`.  It reads the driftless
+    batch at each moved horizon (for s0, the base one).  ``sign`` is folded
+    into the divisor, which negates exactly."""
+    def values(ens, spec, **_) -> np.ndarray:
+        up, dn, h = _central(spec, name, step, ens)
+        return (up - dn) / (sign * 2.0 * h)
+    return (lambda spec: _moved_keys(spec, name, step)), values
 
 
 def _gamma_fd_values(ens, spec, **_) -> np.ndarray:
@@ -257,18 +252,27 @@ def _theta_fd_values(ens, spec, **_):
 
 
 def _vega_identity_values(ens, spec, **_):
-    batch0 = ens[spec.horizon, 0.0]
-    values = vega_identity_values(spec, batch0)
+    """Vega per path from survival probabilities on shared driftless paths.
+
+    -(2/sigma) price + (2 s0/sigma) e^{-r tau} P[A^{(1)} > a]
+                     - (2 k/sigma) e^{-r tau} P[A > a],
+    with the drift-1 survival through the exponential-tilt weight M 1{A<=a}
+    (:func:`~asianmc.estimators.tilted_cdf_values`) and the driftless
+    survival through the plain indicator, built once for the values and the
+    flag.  Both discount factors follow the price derivative; at rate > 0
+    the ``printed-form=`` flag gives the printed variant, whose strike term
+    is undiscounted (see vega(); vega_weighted() is the indicator-free
+    route).
+    """
+    batch0, a = ens[spec.horizon, 0.0], spec.scale_a
+    surv0 = 1.0 - (batch0.integral <= a)
+    values = _vega_relation(spec, price_identity_values(spec, batch0),
+                            1.0 - tilted_cdf_values(batch0, a, 1.0), surv0)
     if not spec.rate > 0.0:
         return values
     undiscounted = float(values.mean()) + (2.0 * spec.strike / spec.sigma) \
-        * (1.0 - spec.discount) * float((1.0 - (batch0.integral <= spec.scale_a)).mean())
+        * (1.0 - spec.discount) * float(surv0.mean())
     return values, None, (f"printed-form={undiscounted:.17g}",)
-
-
-def _vega_fd_values(ens, spec, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "sigma", "vega", ens)
-    return (up - dn) / (2.0 * h)
 
 
 def _vega_weighted_values(ens, spec, **_) -> np.ndarray:
@@ -276,11 +280,6 @@ def _vega_weighted_values(ens, spec, **_) -> np.ndarray:
     return _vega_relation(spec, price_identity_values(spec, ens[t, 0.0]),
                           1.0 - weighted_cdf_values(ens[t, 1.0], a),
                           1.0 - weighted_cdf_values(ens[t, 0.0], a))
-
-
-def _theta_expiry_values(ens, spec, **_) -> np.ndarray:
-    up, dn, h = _central(spec, "expiry", "theta", ens)
-    return -(up - dn) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ QUANTITIES.update(
     delta=_Option(OPTION_PARAMS, {
         IDENTITY: ((0.0,),
                    lambda ens, spec, **_: delta_identity_values(spec, ens[spec.horizon, 0.0])),
-        FD: ((0.0,), _delta_fd_values),
+        FD: _first_difference("s0", "delta"),
     }, zero_strike=lambda spec: spec.discount),
     gamma=_Option(OPTION_PARAMS, {
         IDENTITY: ((0.0, 1.0), lambda ens, spec, **_: gamma_identity_values(
@@ -341,15 +340,14 @@ QUANTITIES.update(
     }),
     vega=_Option(OPTION_PARAMS, {
         IDENTITY: ((0.0,), _vega_identity_values),
-        FD: (lambda spec: _moved_keys(spec, "sigma", "vega"), _vega_fd_values),
+        FD: _first_difference("sigma", "vega"),
     }),
 )
 
 
 # the routes kept for side-by-side comparison, each a private row
 _VEGA_WEIGHTED = _Option(OPTION_PARAMS, {"identity-weighted": ((0.0, 1.0), _vega_weighted_values)})
-_THETA_EXPIRY = _Option(OPTION_PARAMS, {
-    FD: (lambda spec: _moved_keys(spec, "expiry", "theta"), _theta_expiry_values)})
+_THETA_EXPIRY = _Option(OPTION_PARAMS, {FD: _first_difference("expiry", "theta", -1.0)})
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +73,19 @@ def check_param(name: str, value: float, bound: str | None = None) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
     if bound == POSITIVE and value <= 0 or bound == NONNEGATIVE and value < 0:
         raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def check_formed(name: str, form: Callable[[], float], bound: str | None = None) -> float:
+    """``form()``, a float formed from checked inputs, held to ``bound`` as by
+    :func:`check_param`.  A Python float overflow or division by zero while
+    forming it counts as an infinite value, so it too raises naming ``name``.
+    """
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    check_param(name, value, bound)
+    return value
 
 
 def _check_key(t: float, nu: float) -> None:

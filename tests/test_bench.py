@@ -92,8 +92,12 @@ def test_rerun_is_bit_identical_and_thread_independent(monkeypatch):
     for a, b in ((r1, r2), (r1, r3), (r1, r4)):
         assert len(a.rows) == len(b.rows)
         for x, y in zip(a.rows, b.rows):
-            assert x.sort_key == y.sort_key
-            assert x.estimate.mean == y.estimate.mean
+            assert x == y  # every field of the row and of its estimate
+    # a result carries nothing that differs between equal calls
+    cfg = MCConfig(1500, 64, 3)
+    assert am.cdf(1.0, 1.0, 0.5, cfg) == am.cdf(1.0, 1.0, 0.5, cfg)
+    assert am.greek_report(SPEC, cfg, fd_check=True) == \
+        am.greek_report(SPEC, cfg, fd_check=True, threads=2)
 
 
 def test_rows_sorted_lexicographically():

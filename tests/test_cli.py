@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,33 @@ def test_nonfinite_input_exits_two_naming_the_parameter(argv, message):
     code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
     assert code == 2 and out == ""
     assert message in err
+
+
+SCALE = "scale sigma^2 strike expiry / s0"
+
+
+# finite inputs at which a constant a builder forms (2/a^2, the naive
+# bandwidth's h^2, the gamma's 2/scale^2) leaves the float range
+@pytest.mark.parametrize("argv, name", [
+    (("density", "--a", "1e-200"), "2/a^2"),
+    (("density", "--a", "1e200"), "2/a^2"),
+    (("kernel", "--order", "2", "--a", "1e200"), "bandwidth h^2 (h = 0.05 a"),
+    (("kernel", "--order", "2", "--a", "1e-200"), "bandwidth h^2 (h = 0.05 a"),
+    (("kernel", "--order", "2", "--a", "1e-200", "--method", "identity"), "2/a^2"),
+    (("greeks", "--strike", "1e-300"), SCALE),
+    (("greeks", "--sigma", "1e-100"), SCALE),
+    (("greeks", "--s0", "1e-200"), SCALE),
+])
+def test_extreme_constants_exit_two_naming_the_parameter_or_stay_finite(argv, name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == "" and all(math.isfinite(float(r["estimate"])) for r in parse(out))
+    else:
+        assert code == 2 and out == ""
+        assert name in err.splitlines()[0]
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -16,7 +16,6 @@ import gc
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -34,6 +33,7 @@ from asianmc.estimators import (
     Estimate,
     _wrap,
     cdf_identity_values,
+    shared_ensemble,
     density_identity_values,
     kernel_d2_identity_values,
     kernel_identity_values,
@@ -258,11 +258,10 @@ def test_weighted_cdf_underflow_flag(ens_t1):
     assert "tail-underflow" in est.flags
 
 
-def test_d1_matches_fd_of_kernel_with_crn_at_1e6():
+def test_d1_matches_fd_of_kernel_with_crn_at_1e6(driftless_1e6):
     # identity-family derivative against a common-random-number central
     # difference of the identity kernel, h = 1e-2
-    cfg = MCConfig(1_000_000, 1024, 42)
-    ens = am.sample_ensemble(1.0, (0.0,), cfg, threads=THREADS)
+    cfg, ens = driftless_1e6
     d1 = am.call_kernel_d1(1.0, 1.0, cfg, "identity", ensemble=ens)
     h = 0.01
     vals = (kernel_identity_values(ens[0.0], 1.0 + h, 0.0)
@@ -651,6 +650,36 @@ def _reference_cdf(batch, a):
     return body + tail
 
 
+def _reference_kernel(batch0, a, nu):
+    """kernel_identity_values in its printed out-of-place form: the split
+    body times a (a/(a + A))^{2 nu}/(a + A), plus the tail factor (a - A), both
+    times M^nu e^{nu t/2 - nu^2 t/2}, plus (e^{nu t} - 1)/nu - a."""
+    body, tail = _reference_split(batch0, a)
+    m, integ, t = batch0.terminal, batch0.integral, batch0.t
+    ratio = a / (integ + a)
+    if nu != 0.0:
+        ratio = ratio ** (2.0 * nu + 1.0)
+    values = body * ratio * a + (a - integ) * tail
+    if nu != 0.0:
+        values = values * (m ** nu * math.exp(nu * t / 2.0 - nu * nu * t / 2.0))
+    return values + (am.stable_exp_rate(nu, t) - a)
+
+
+def _reference_vega(spec, batch0):
+    """The identity vega row's values and flag at rate > 0, out of place: the
+    drift-1 survival through M^1 e^{t/2 - t/2} 1{A <= a}, the driftless one
+    through the indicator."""
+    a, sig, disc = spec.scale_a, spec.sigma, spec.discount
+    m, integ, t = batch0.terminal, batch0.integral, batch0.t
+    pv = spec.s0 / (spec.expiry * sig**2) * disc * kernel_identity_values(batch0, a, 0.0)
+    surv1 = 1.0 - m ** 1.0 * math.exp(t / 2.0 - t / 2.0) * (integ <= a)
+    surv0 = 1.0 - (integ <= a)
+    values = (-2.0 / sig) * pv + (2.0 * spec.s0 / sig) * disc * surv1 \
+        - (2.0 * spec.strike / sig) * disc * surv0
+    printed = float(values.mean()) + (2.0 * spec.strike / sig) * (1.0 - disc) * float(surv0.mean())
+    return values, (f"printed-form={printed:.17g}",)
+
+
 def _drift_ensembles(nu, antithetic):
     """Batches at t = 1 and drifts {0, 1, nu}, keyed by (t, drift): the
     drawn ones, and the subset of their paths whose terminal exceeds 1.5
@@ -683,6 +712,7 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
             ("density", IDENTITY): ({}, (cdf[0.0] - cdf[1.0]) * (2.0 / a**2)),
             ("joint_cdf", IDENTITY): ({"b": 1.0}, body0 * (m <= bound) + (tail0 & (m <= 1.0))),
             ("call_kernel_d1", IDENTITY): ({}, cdf[0.0] - 1.0),
+            ("call_kernel_d1", NAIVE): ({}, -1.0 + (integ <= a).astype(float)),
             ("density", NAIVE): ({"bandwidth": None},
                                  ((integ <= a + h).astype(float) - (integ <= a - h).astype(float))
                                  / (2.0 * h)),
@@ -699,7 +729,7 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
                 assert (mean, flags) == (None, (f"h={h:.17g}",)), (quantity, a)
             assert _same_bits(got, expected), (quantity, method, a)
             before = got.copy()
-            e = _wrap(got, method, time.perf_counter())
+            e = _wrap(got, method)
             assert e.mean == float(expected.mean()), (quantity, method, a)
             n = len(expected)
             assert e.stderr == math.sqrt(float(((expected - expected.mean()) ** 2).sum())
@@ -718,6 +748,22 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
                           scale * kernel_identity_values(b0, ka, 0.0))
         assert _same_bits(am.greeks.gamma_identity_values(spec, b0, b1),
                           pre * density_identity_values(b0, b1, ka))
+        assert _same_bits(kernel_identity_values(b0, a, nu), _reference_kernel(b0, a, nu))
+        values, mean, flags = QUANTITIES["vega"].methods[IDENTITY][1](ens, spec=spec)
+        want, want_flags = _reference_vega(spec, b0)
+        assert _same_bits(values, want) and (mean, flags) == (None, want_flags), a
+    # the first differences of the naive price, on one ensemble that holds
+    # every horizon they read: s0 at T, sigma and expiry at their moved ones
+    cfg = full[1.0, 0.0].cfg
+    up, dn, _ = am.greeks._moved(spec, "expiry", "theta")
+    ens = shared_ensemble(cfg, [("delta", "fd", {"spec": spec}), ("vega", "fd", {"spec": spec})]
+                          + [("price", NAIVE, {"spec": s}) for s in (up, dn)])
+    for row, name, step in ((QUANTITIES["delta"], "s0", "delta"),
+                            (QUANTITIES["vega"], "sigma", "vega"),
+                            (am.greeks._THETA_EXPIRY, "expiry", "theta")):
+        up, dn, h = am.greeks._central(spec, name, step, ens)
+        want = -(up - dn) / (2.0 * h) if name == "expiry" else (up - dn) / (2.0 * h)
+        assert _same_bits(row.methods["fd"][1](ens, spec=spec), want), name
     # the thresholds cover a split that keeps every path, some and none
     assert kept[1e-3][0] == kept[1e-3][1]
     assert 0 < kept[0.7][0] < kept[0.7][1] and 0 < kept[2.5][0] < kept[2.5][1]
@@ -729,7 +775,7 @@ def test_wrap_takes_the_numpy_mean_and_leaves_its_input():
     for values in (rng.standard_normal(1), rng.standard_normal(1000) * 1e3 + 7.0,
                    rng.pareto(1.1, 4097), np.zeros(3)):
         before = values.copy()
-        e = _wrap(values, NAIVE, time.perf_counter())
+        e = _wrap(values, NAIVE)
         assert e.mean == float(values.mean())
         assert _same_bits(values, before)
         assert e.stderr == (0.0 if len(values) == 1 else

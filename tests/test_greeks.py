@@ -8,13 +8,10 @@ import pytest
 
 import asianmc as am
 from asianmc import MCConfig, OptionSpec
-from asianmc.cli import DEFAULT_THREADS
 from asianmc.estimators import shared_ensemble
 from asianmc.greeks import FD, FD_REL_STEP, _central, price_naive_values, theta_fd_expiry
 
 FIG_CONFIG = OptionSpec(s0=1.0, strike=1.0, sigma=1.0, rate=0.0, expiry=1.0)
-# the 10^6-path draw uses the --threads default, at most 8 threads
-THREADS = min(8, DEFAULT_THREADS)
 
 
 def comb_se(e1, e2):
@@ -138,10 +135,9 @@ def test_fd_delta_value_is_stable(fig_env):
     assert fd.mean == pytest.approx(0.591, abs=0.01)
 
 
-def test_price_identity_vs_naive_at_1e6():
+def test_price_identity_vs_naive_at_1e6(driftless_1e6):
     # naive Monte Carlo price oracle at 10^6 paths, shared increments
-    cfg = MCConfig(1_000_000, 1024, 42)
-    ens = am.sample_ensemble(1.0, (0.0,), cfg, threads=THREADS)
+    cfg, ens = driftless_1e6
     pi = am.price(FIG_CONFIG, cfg, "identity", ensemble=ens)
     pn = am.price(FIG_CONFIG, cfg, "naive", ensemble=ens)
     assert abs(pi.mean - pn.mean) <= 3 * comb_se(pi, pn)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from grid_moments import grid_moments
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +242,22 @@ def test_drifted_integral_mean():
         target = (math.exp(nu) - 1.0) / nu
         se = batch.integral.std(ddof=1) / math.sqrt(n)
         assert abs(batch.integral.mean() - target) <= 3 * se
+
+
+def test_moments_match_the_exact_grid_sums():
+    # E[A], E[A^2] and E[X_t A] on the nested grids of one draw against their
+    # exact sums over the same grid (tests/grid_moments.py): this checks the
+    # walk's scale, the drift factor and the strides with no grid bias
+    t, n_steps, n = 1.0, 64, 400_000
+    keys = [(t, nu, k) for nu in (0.0, 1.0, -0.5) for k in (1, 4)]
+    grids = next(asianmc.paths._simulate_all([(keys, MCConfig(n, n_steps, 42))]))
+    for key in keys:
+        terminal, integral = grids[key]
+        _, nu, k = key
+        for values, exact in zip((integral, integral * integral, terminal * integral),
+                                 grid_moments(t, nu, n_steps // k)):
+            z = (values.mean() - exact) / (values.std(ddof=1) / math.sqrt(n))
+            assert abs(z) < 4.0, (key, exact, z)
 
 
 def test_default_steps_rule():
