@@ -8,7 +8,6 @@ and a deterministic CSV command line.
 
 from .estimators import (
     Estimate,
-    TransformParams,
     call_kernel,
     call_kernel_d1,
     call_kernel_d2,
@@ -50,7 +49,6 @@ __all__ = [
     "OptionSpec",
     "PathBatch",
     "PathSample",
-    "TransformParams",
     "call_kernel",
     "call_kernel_d1",
     "call_kernel_d2",

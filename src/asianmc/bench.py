@@ -186,9 +186,11 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
 
 @dataclass(frozen=True)
 class BiasRow:
+    """The mean integral on one grid: its :class:`Estimate` and the distance
+    of its mean from the closed form."""
+
     n_steps: int
-    mean_integral: float
-    stderr: float
+    estimate: Estimate
     closed_form_gap: float
 
 
@@ -199,7 +201,7 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     Every row restricts the same finest-grid Brownian paths to a coarser
     uniform grid, so the rows differ only by discretization, not by sampling
     noise.  Each coarser step count must divide the finest, which replaces
-    ``cfg.n_steps``; each row's mean and stderr are an :class:`Estimate`'s.
+    ``cfg.n_steps``; each row holds its grid's :class:`Estimate`.
     At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
     step count (each grid sample has unit expectation), so gaps there show
     pure shared Monte Carlo noise; drifted runs show the genuine O(dt^2)
@@ -221,5 +223,5 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     out = []
     for s in steps:
         est = _wrap(grids[t, nu, finest // s][1], "nested")
-        out.append(BiasRow(s, est.mean, est.stderr, abs(est.mean - target)))
+        out.append(BiasRow(s, est, abs(est.mean - target)))
     return tuple(out)

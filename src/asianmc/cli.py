@@ -272,10 +272,8 @@ def _run_bias(args) -> list[list[str]]:
     cfg = MCConfig(n_paths=args.paths, n_steps=max(steps), master_seed=args.seed,
                    antithetic=args.antithetic)
     report = bench.quadrature_bias_report(args.t, args.nu, steps, cfg, threads=args.threads)
-    return [_row("quadrature_bias", "nested",
-                 Estimate(row.mean_integral, row.stderr, cfg.n_paths, "nested"), vars(args),
-                 cfg.n_paths, row.n_steps, cfg.master_seed, (f"gap={row.closed_form_gap:.17g}",))
-            for row in report]
+    return [_row("quadrature_bias", "nested", row.estimate, vars(args), cfg.n_paths, row.n_steps,
+                 cfg.master_seed, (f"gap={row.closed_form_gap:.17g}",)) for row in report]
 
 
 # price, cdf, density, joint and kernel each estimate one quantity

@@ -76,24 +76,6 @@ class Estimate:
         return math.hypot(self.stderr, other.stderr)
 
 
-@dataclass(frozen=True)
-class TransformParams:
-    """Threshold and horizon for the generic truncated-expectation transform.
-
-    ``a`` is the truncation level on the time integral; the transform removes
-    the event {A_t < a} in exchange for an exponential weight.
-    """
-
-    a: float
-    t: float
-    nu: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_param("threshold a", self.a, POSITIVE)
-        check_param("time t", self.t, NONNEGATIVE)
-        check_param("drift nu", self.nu)
-
-
 def _ensemble_for(
     t: float, keys: Sequence[tuple[float, float]], cfg: MCConfig,
     ensemble: Mapping | None,
@@ -124,8 +106,9 @@ def _ensemble_for(
     return have
 
 
-def _wrap(values: np.ndarray, method: str, flags: tuple[str, ...] = (),
-          mean: float | None = None) -> Estimate:
+def _wrap(values: np.ndarray, method: str, flags: tuple[str, ...] = ()) -> Estimate:
+    """The :class:`Estimate` of per-path ``values``: their mean and its
+    stderr.  Every Monte Carlo estimate is made here."""
     n = len(values)
     m = values.sum() / n  # np.mean's own arithmetic, without its Python wrapper
     stderr = 0.0
@@ -133,7 +116,7 @@ def _wrap(values: np.ndarray, method: str, flags: tuple[str, ...] = (),
         dev = values - m
         np.square(dev, out=dev)
         stderr = math.sqrt(float(dev.sum()) / (n - 1)) / math.sqrt(n)
-    return Estimate(float(m) if mean is None else mean, stderr, n, method, flags)
+    return Estimate(float(m), stderr, n, method, flags)
 
 
 def stable_exp_rate(nu: float, t: float) -> float:
@@ -343,7 +326,7 @@ def _density_naive_values(ens, a, t, bandwidth=None, **_):
     values = (integ <= a + h).astype(float)
     values -= integ <= a - h
     values /= 2.0 * h
-    return values, None, (f"h={h:.17g}",)
+    return values, (f"h={h:.17g}",)
 
 
 def _excess(integ, a, h=0.0, out=None) -> np.ndarray:
@@ -366,7 +349,7 @@ def _kernel_d2_naive_values(ens, a, t, bandwidth=None, **_):
     values += _excess(integ, a, h, out=scratch)
     values /= check_formed(f"bandwidth h^2 (h = {NAIVE_DENSITY_BW} a by default)",
                            lambda: h**2, POSITIVE)
-    return values, None, (f"h={h:.17g}",)
+    return values, (f"h={h:.17g}",)
 
 
 def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
@@ -387,7 +370,7 @@ def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
 
 def _weighted_cdf_estimate(ens, a, t, nu, **_):
     values = weighted_cdf_values(ens[t, nu], a)
-    return values, None, ("tail-underflow",) if values.max() == 0.0 else ()
+    return values, ("tail-underflow",) if values.max() == 0.0 else ()
 
 
 def _transform_values(ens, f, a, t, **_) -> np.ndarray:
@@ -398,7 +381,7 @@ def _transform_values(ens, f, a, t, **_) -> np.ndarray:
     bad = ~np.isfinite(fx)
     if bad.any():
         raise ValueError(f"f returned a non-finite value at path index {int(np.argmax(bad))}")
-    return fx * np.exp(2.0 * m / (a + integ) - 2.0 / a)
+    return fx * weighted_cdf_values(batch, a)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +401,9 @@ class Quantity:
     parameter that holds it, or is a function of the arguments that returns
     the (horizon, drift) keys it reads; ``values(ensemble, **args)`` gets the
     batches keyed by (horizon, drift) and returns the per-path values, or
-    ``(values, mean, flags)`` where the mean or the flags are not the plain
-    ones (a finite-difference row names its bandwidth ``h=`` there).
+    ``(values, flags)`` where the estimate carries flags of its own (a
+    finite-difference row names its bandwidth ``h=`` there).  The mean and
+    stderr are always those of the values (:func:`_wrap`).
     :meth:`threshold` is the level the integral is compared with, if any;
     a grid whose dt/2 reaches it cannot resolve it, and the estimate says
     so.  A closed form is table data too: :meth:`exact` returns the
@@ -518,14 +502,14 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
     horizon = q.horizon(args)
     ens = _ensemble_for(horizon, q.keys(method, args), cfg, ensemble)
     out = q.methods[method][1](ens, **args)
-    values, mean, flags = out if isinstance(out, tuple) else (out, None, ())
+    values, flags = out if isinstance(out, tuple) else (out, ())
     dt = horizon / cfg.n_steps
     threshold = q.threshold(args)
     if threshold is not None and threshold <= dt / 2:
         # every trapezoid integral is at least dt/2, since X_0 = 1: the grid
         # cannot resolve a threshold this low
         flags = (f"coarse-grid(dt={dt:.17g})",) + flags
-    return _wrap(values, method, flags, mean)
+    return _wrap(values, method, flags)
 
 
 def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float]]:
@@ -570,7 +554,8 @@ def shared_ensemble(cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
 
 def transform_expectation(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    params: TransformParams,
+    a: float,
+    t: float,
     cfg: MCConfig,
     *,
     ensemble: Mapping[float, PathBatch] | None = None,
@@ -581,12 +566,13 @@ def transform_expectation(
 
         e^{-y} E[ f(M/(1 + (y/2)A)^2, A/(1 + (y/2)A)) exp(M/(1/y + A/2)) ]
 
-    ``f`` must be vectorized over numpy arrays and finite on every sampled
-    path; a non-finite output raises with the offending path index.
+    ``a`` is the truncation level on the time integral: the transform
+    removes the event {A_t < a} in exchange for the printed weight
+    (:func:`weighted_cdf_values`).  ``f`` must be vectorized over numpy
+    arrays and finite on every sampled path; a non-finite output raises with
+    the offending path index.
     """
-    if params.nu != 0.0:
-        raise ValueError("the generic transform is defined for the driftless case only")
-    return _estimate(_TRANSFORM, cfg, IDENTITY, ensemble, f=f, a=params.a, t=params.t)
+    return _estimate(_TRANSFORM, cfg, IDENTITY, ensemble, f=f, a=a, t=t)
 
 
 def cdf(

@@ -205,19 +205,13 @@ def _central(spec: OptionSpec, name: str, step: str,
             price_naive_values(dn, ens[dn.horizon, 0.0]), h)
 
 
-def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray, g: np.ndarray,
-                      d_den: float = 1.0, g_den: float = 1.0):
-    """Theta r p - r s0 d - (sigma^2 s0 / 2) g per path, as (values, mean, flags).
-
-    ``d / d_den`` and ``g / g_den`` are the per-path delta and gamma; the
-    finite-difference theta passes its quotients' numerators and denominators
-    apart, which keeps the operation order, and so every bit, of its
-    influence.  The mean is the same combination of the three means.
-    """
+def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray,
+                      g: np.ndarray) -> np.ndarray:
+    """Theta r p - r s0 d - (sigma^2 s0 / 2) g per path, from per-path price,
+    delta and gamma values of one method on the same paths, so the theta's
+    mean and stderr are those of this one combination."""
     r, s0, sig = spec.rate, spec.s0, spec.sigma
-    mean = (r * float(p.mean()) - r * s0 * float((d / d_den).mean())
-            - 0.5 * sig**2 * s0 * float((g / g_den).mean()))
-    return r * p - r * s0 * d / d_den - 0.5 * sig**2 * s0 * g / g_den, mean, ()
+    return r * p - r * s0 * d - 0.5 * sig**2 * s0 * g
 
 
 def _first_difference(name: str, step: str, sign: float = 1.0):
@@ -234,21 +228,21 @@ def _first_difference(name: str, step: str, sign: float = 1.0):
 
 def _gamma_fd_values(ens, spec, **_) -> np.ndarray:
     up, dn, h = _central(spec, "s0", "gamma", ens)
-    return (up - 2.0 * price_naive_values(spec, ens[spec.horizon, 0.0]) + dn) / h**2
+    h2 = check_formed(f"FD step h^2 (h = {FD_REL_STEP['gamma']} s0)", lambda: h**2, POSITIVE)
+    return (up - 2.0 * price_naive_values(spec, ens[spec.horizon, 0.0]) + dn) / h2
 
 
-def _theta_identity_values(ens, spec, **_):
+def _theta_identity_values(ens, spec, **_) -> np.ndarray:
     batch0 = ens[spec.horizon, 0.0]
     return _pricing_relation(spec, price_identity_values(spec, batch0),
                              delta_identity_values(spec, batch0),
                              gamma_identity_values(spec, batch0, ens[spec.horizon, 1.0]))
 
 
-def _theta_fd_values(ens, spec, **_):
-    pv = price_naive_values(spec, ens[spec.horizon, 0.0])
-    up_d, dn_d, h_d = _central(spec, "s0", "delta", ens)
-    up_g, dn_g, h_g = _central(spec, "s0", "gamma", ens)
-    return _pricing_relation(spec, pv, up_d - dn_d, up_g - 2.0 * pv + dn_g, 2.0 * h_d, h_g**2)
+def _theta_fd_values(ens, spec, **_) -> np.ndarray:
+    return _pricing_relation(spec, price_naive_values(spec, ens[spec.horizon, 0.0]),
+                             QUANTITIES["delta"].methods[FD][1](ens, spec=spec),
+                             _gamma_fd_values(ens, spec))
 
 
 def _vega_identity_values(ens, spec, **_):
@@ -272,7 +266,7 @@ def _vega_identity_values(ens, spec, **_):
         return values
     undiscounted = float(values.mean()) + (2.0 * spec.strike / spec.sigma) \
         * (1.0 - spec.discount) * float(surv0.mean())
-    return values, None, (f"printed-form={undiscounted:.17g}",)
+    return values, (f"printed-form={undiscounted:.17g}",)
 
 
 def _vega_weighted_values(ens, spec, **_) -> np.ndarray:
@@ -381,9 +375,11 @@ def theta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
     relation omits the sensitivity to the running average); that decay is
     :func:`theta_fd_expiry`.
 
-    The reported mean is the exact combination of the three reported means
-    (all from the same method and the same paths); the stderr comes from the
-    per-path combined influence, so shared-path covariances are kept.
+    The relation is applied per path to the price, delta and gamma values of
+    the same method on the same paths, and the mean and stderr are those of
+    the combined values, so shared-path covariances are kept.  The mean
+    equals the same combination of the three means up to rounding, and
+    exactly at rate 0 when sigma^2 s0 / 2 is a power of two.
     """
     return _estimate(QUANTITIES["theta"], cfg, method, ensemble, spec=spec)
 

@@ -89,9 +89,12 @@ def check_formed(name: str, form: Callable[[], float], bound: str | None = None)
 
 
 def _check_key(t: float, nu: float) -> None:
-    """Raise ValueError unless (t, nu) is a key the path core can draw."""
+    """Raise ValueError unless (t, nu) is a key the path core can draw: t
+    nonnegative, nu finite, and the grid's largest drift factor exp(nu t)
+    finite."""
     check_param("time t", t, NONNEGATIVE)
     check_param("drift nu", nu)
+    check_formed(f"drift factor exp(nu t) at nu = {nu}, t = {t}", lambda: math.exp(nu * t))
 
 
 def _integer(name: str, value) -> int:

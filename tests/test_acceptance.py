@@ -76,8 +76,7 @@ def test_criterion_2_time_zero_exactness():
     cfg = MCConfig(1_000, 8, SEED)
     c = am.cdf(1.0, 0.0, 0.0, cfg, "identity")
     k = am.call_kernel(0.4, 0.0, 0.0, cfg, "identity")
-    tr = am.transform_expectation(lambda w, z: np.ones_like(w),
-                                  am.TransformParams(1.0, 0.0), cfg)
+    tr = am.transform_expectation(lambda w, z: np.ones_like(w), 1.0, 0.0, cfg)
     ok = (c.mean, c.stderr) == (1.0, 0.0) and (k.mean, k.stderr) == (0.0, 0.0) \
         and (tr.mean, tr.stderr) == (1.0, 0.0)
     assert report(2, ok, "degenerate values (1, 0, 1) with zero stderr")
@@ -312,7 +311,7 @@ def test_criterion_10_quadrature_bias():
     rows = quadrature_bias_report(1.0, 1.0, (16, 64, 256, 1024), cfg)
     gaps = [r.closed_form_gap for r in rows]
     monotone = all(x >= y for x, y in zip(gaps, gaps[1:]))
-    fine_ok = gaps[-1] <= 3 * rows[-1].stderr + 1e-3
+    fine_ok = gaps[-1] <= 3 * rows[-1].estimate.stderr + 1e-3
     zero_rows = quadrature_bias_report(0.0, 1.0, (16, 64), cfg)
     zero_ok = all(r.closed_form_gap == 0.0 for r in zero_rows)
     rows0 = quadrature_bias_report(1.0, 0.0, (16, 64, 256, 1024), cfg)

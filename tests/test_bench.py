@@ -185,7 +185,7 @@ def test_bias_report_validation():
 def test_bias_report_time_zero_rows_are_exact():
     cfg = MCConfig(100, 1024, 1)
     rows = quadrature_bias_report(0.0, 0.5, (16, 64), cfg)
-    assert all(r.closed_form_gap == 0.0 and r.mean_integral == 0.0 for r in rows)
+    assert all(r.closed_form_gap == 0.0 and r.estimate.mean == 0.0 for r in rows)
 
 
 def test_bias_gaps_shrink_for_drifted_integrand():
@@ -194,7 +194,7 @@ def test_bias_gaps_shrink_for_drifted_integrand():
     rows = quadrature_bias_report(1.0, 1.0, (16, 64, 256, 1024), cfg)
     gaps = [r.closed_form_gap for r in rows]
     assert all(x >= y for x, y in zip(gaps, gaps[1:]))
-    assert gaps[-1] <= 3 * rows[-1].stderr + 1e-3
+    assert gaps[-1] <= 3 * rows[-1].estimate.stderr + 1e-3
 
 
 def test_bias_gaps_tiny_for_driftless_mean():
@@ -203,13 +203,13 @@ def test_bias_gaps_tiny_for_driftless_mean():
     cfg = MCConfig(100_000, 1024, 42)
     rows = quadrature_bias_report(1.0, 0.0, (16, 64, 256, 1024), cfg)
     for row in rows:
-        assert row.closed_form_gap <= 3 * row.stderr + 1e-3
+        assert row.closed_form_gap <= 3 * row.estimate.stderr + 1e-3
 
 
 def test_bias_rows_match_plain_batch_at_finest_grid():
     cfg = MCConfig(5_000, 256, 9)
     rows = quadrature_bias_report(1.0, 0.0, (256,), cfg)
     batch = am.sample_batch(1.0, 0.0, cfg)
-    assert rows[0].mean_integral == pytest.approx(float(batch.integral.mean()), rel=1e-12)
+    assert rows[0].estimate.mean == pytest.approx(float(batch.integral.mean()), rel=1e-12)
     plain_se = float(batch.integral.std(ddof=1)) / math.sqrt(cfg.n_paths)
-    assert rows[0].stderr == pytest.approx(plain_se, rel=1e-12)
+    assert rows[0].estimate.stderr == pytest.approx(plain_se, rel=1e-12)

@@ -93,7 +93,8 @@ SCALE = "scale sigma^2 strike expiry / s0"
 
 
 # finite inputs at which a constant a builder forms (2/a^2, the naive
-# bandwidth's h^2, the gamma's 2/scale^2) leaves the float range
+# bandwidth's h^2, the gamma's 2/scale^2, the FD gamma's step h^2) or the
+# path core's drift factor exp(nu t) leaves the float range
 @pytest.mark.parametrize("argv, name", [
     (("density", "--a", "1e-200"), "2/a^2"),
     (("density", "--a", "1e200"), "2/a^2"),
@@ -103,14 +104,21 @@ SCALE = "scale sigma^2 strike expiry / s0"
     (("greeks", "--strike", "1e-300"), SCALE),
     (("greeks", "--sigma", "1e-100"), SCALE),
     (("greeks", "--s0", "1e-200"), SCALE),
+    (("greeks", "--method", "naive", "--s0", "1e-200"), "FD step h^2 (h = 0.05 s0)"),
+    (("cdf", "--a", "1", "--nu", "800"), "drift factor exp(nu t) at nu = 800.0, t = 1.0"),
+    (("cdf", "--a", "1", "--t", "800", "--nu", "1"), "drift factor exp(nu t) at nu = 1.0, t = 800.0"),
+    (("density", "--a", "1", "--t", "1e8"), "drift factor exp(nu t) at nu = 1.0, t = 100000000.0"),
+    (("greeks", "--sigma", "1e8"), "drift factor exp(nu t) at nu = 1.0, t = 1e+16"),
+    (("cdf", "--a", "1", "--nu", "700"), None),  # exp(700) is finite: exit 0
 ])
 def test_extreme_constants_exit_two_naming_the_parameter_or_stay_finite(argv, name):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
     assert [str(w.message) for w in caught] == []
-    if code == 0:
-        assert err == "" and all(math.isfinite(float(r["estimate"])) for r in parse(out))
+    if name is None:
+        assert code == 0 and err == "" and all(math.isfinite(float(r["estimate"]))
+                                               for r in parse(out))
     else:
         assert code == 2 and out == ""
         assert name in err.splitlines()[0]

@@ -24,13 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asianmc as am
-from asianmc import MCConfig, PathBatch, TransformParams
+from asianmc import MCConfig, PathBatch
 from asianmc.cli import DEFAULT_THREADS
 from asianmc.estimators import (
     IDENTITY,
     NAIVE,
     QUANTITIES,
     Estimate,
+    _TRANSFORM,
     _wrap,
     cdf_identity_values,
     shared_ensemble,
@@ -84,7 +85,7 @@ def test_domain_errors():
     with pytest.raises(ValueError, match="method"):
         am.cdf(1.0, 1.0, 0.0, cfg, "bogus")
     with pytest.raises(ValueError, match="positive"):
-        TransformParams(0.0, 1.0)
+        am.transform_expectation(lambda w, z: w, 0.0, 1.0, cfg)
     with pytest.raises(ValueError, match="bandwidth"):
         am.density(1.0, 1.0, cfg, "naive", bandwidth=2.0)
 
@@ -97,7 +98,7 @@ def test_domain_errors():
     ("b", lambda cfg: am.joint_cdf(math.inf, 1.0, 1.0, cfg)),
     ("nu", lambda cfg: am.call_kernel(1.0, 1.0, math.inf, cfg, "identity")),
     ("a", lambda cfg: am.call_kernel_d2(math.nan, 1.0, cfg)),
-    ("t", lambda cfg: TransformParams(1.0, math.inf)),
+    ("t", lambda cfg: am.transform_expectation(lambda w, z: w, 1.0, math.inf, cfg)),
     ("s0", lambda cfg: am.OptionSpec(math.nan, 1.0, 1.0, 0.0, 1.0)),
     ("sigma", lambda cfg: am.OptionSpec(1.0, 1.0, math.inf, 0.0, 1.0)),
     ("rate", lambda cfg: am.OptionSpec(1.0, 1.0, 1.0, math.nan, 1.0)),
@@ -142,18 +143,18 @@ def test_transform_rejects_nonfinite_f_with_path_index():
         return out
 
     with pytest.raises(ValueError, match="path index 7"):
-        am.transform_expectation(bad, TransformParams(1.0, 1.0), cfg)
+        am.transform_expectation(bad, 1.0, 1.0, cfg)
 
 
 def test_transform_checks_its_config_and_flags_a_coarse_grid():
     one = lambda w, z: np.ones_like(w)  # noqa: E731
     with pytest.raises(ValueError, match="an MCConfig is required"):
-        am.transform_expectation(one, TransformParams(1.0, 1.0), None)
+        am.transform_expectation(one, 1.0, 1.0, None)
     # as for the CDF: at a <= dt/2 the grid cannot resolve the threshold
     cfg = MCConfig(64, 8, 3)
-    coarse = am.transform_expectation(one, TransformParams(1.25, 20.0), cfg)
+    coarse = am.transform_expectation(one, 1.25, 20.0, cfg)
     assert coarse.flags == ("coarse-grid(dt=2.5)",)
-    assert am.transform_expectation(one, TransformParams(1.26, 20.0), cfg).flags == ()
+    assert am.transform_expectation(one, 1.26, 20.0, cfg).flags == ()
 
 
 def test_time_zero_degeneracy_is_exact():
@@ -165,8 +166,7 @@ def test_time_zero_degeneracy_is_exact():
         k = am.call_kernel(0.4, 0.0, nu, cfg, "identity")
         assert k.mean == 0.0 and k.stderr == 0.0
         assert am.call_kernel(0.4, 0.0, nu, cfg, "naive").mean == 0.0
-    tr = am.transform_expectation(lambda w, z: np.ones_like(w),
-                                  TransformParams(1.0, 0.0), cfg)
+    tr = am.transform_expectation(lambda w, z: np.ones_like(w), 1.0, 0.0, cfg)
     assert tr.mean == 1.0 and tr.stderr == 0.0
 
 
@@ -185,8 +185,7 @@ def test_stable_exp_rate():
 
 def test_transform_constant_large_threshold(ens_t1_2e5):
     cfg, ens = ens_t1_2e5
-    est = am.transform_expectation(lambda w, z: np.ones_like(w),
-                                   TransformParams(5.0, 1.0), cfg, ensemble=ens)
+    est = am.transform_expectation(lambda w, z: np.ones_like(w), 5.0, 1.0, cfg, ensemble=ens)
     naive = am.cdf(5.0, 1.0, 0.0, cfg, "naive", ensemble=ens)
     assert abs(est.mean - naive.mean) <= 3 * comb_se(est, naive)
 
@@ -194,9 +193,16 @@ def test_transform_constant_large_threshold(ens_t1_2e5):
 def test_transform_identity_function_recovers_moment(ens_t1):
     # f(w, z) = z with a huge threshold estimates E[A_1] = 1
     cfg, ens = ens_t1
-    est = am.transform_expectation(lambda w, z: z, TransformParams(100.0, 1.0),
-                                   cfg, ensemble=ens)
+    est = am.transform_expectation(lambda w, z: z, 100.0, 1.0, cfg, ensemble=ens)
     assert abs(est.mean - 1.0) <= 3 * est.stderr
+    # the row multiplies f by the printed CDF weight, bit for bit the
+    # transform's own out-of-place expression
+    m, integ = ens[0.0].terminal, ens[0.0].integral
+    shrink = 1.0 + integ / 100.0
+    want = integ / shrink * np.exp(2.0 * m / (100.0 + integ) - 2.0 / 100.0)
+    got = _TRANSFORM.methods[IDENTITY][1]({(1.0, 0.0): ens[0.0]}, f=lambda w, z: z,
+                                          a=100.0, t=1.0)
+    assert _same_bits(got, want) and est.mean == float(want.mean())
 
 
 def test_tilted_cdf_matches_naive_for_drifted_integral(ens_t1):
@@ -725,8 +731,8 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
         for (quantity, method), (args, expected) in want.items():
             got = QUANTITIES[quantity].methods[method][1](ens, a=a, t=1.0, **args)
             if "bandwidth" in args:  # a finite-difference row names its bandwidth
-                got, mean, flags = got
-                assert (mean, flags) == (None, (f"h={h:.17g}",)), (quantity, a)
+                got, flags = got
+                assert flags == (f"h={h:.17g}",), (quantity, a)
             assert _same_bits(got, expected), (quantity, method, a)
             before = got.copy()
             e = _wrap(got, method)
@@ -749,9 +755,16 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
         assert _same_bits(am.greeks.gamma_identity_values(spec, b0, b1),
                           pre * density_identity_values(b0, b1, ka))
         assert _same_bits(kernel_identity_values(b0, a, nu), _reference_kernel(b0, a, nu))
-        values, mean, flags = QUANTITIES["vega"].methods[IDENTITY][1](ens, spec=spec)
+        values, flags = QUANTITIES["vega"].methods[IDENTITY][1](ens, spec=spec)
         want, want_flags = _reference_vega(spec, b0)
-        assert _same_bits(values, want) and (mean, flags) == (None, want_flags), a
+        assert _same_bits(values, want) and flags == want_flags, a
+        # each theta row is the pricing relation on its own method's price,
+        # delta and gamma row values
+        for method, price_method in ((IDENTITY, IDENTITY), ("fd", NAIVE)):
+            parts = [QUANTITIES[name].methods[m][1](ens, spec=spec)
+                     for name, m in (("price", price_method), ("delta", method), ("gamma", method))]
+            assert _same_bits(QUANTITIES["theta"].methods[method][1](ens, spec=spec),
+                              am.greeks._pricing_relation(spec, *parts)), (method, a)
     # the first differences of the naive price, on one ensemble that holds
     # every horizon they read: s0 at T, sigma and expiry at their moved ones
     cfg = full[1.0, 0.0].cfg

@@ -8,7 +8,7 @@ import pytest
 
 import asianmc as am
 from asianmc import MCConfig, OptionSpec
-from asianmc.estimators import shared_ensemble
+from asianmc.estimators import IDENTITY, QUANTITIES, shared_ensemble
 from asianmc.greeks import FD, FD_REL_STEP, _central, price_naive_values, theta_fd_expiry
 
 FIG_CONFIG = OptionSpec(s0=1.0, strike=1.0, sigma=1.0, rate=0.0, expiry=1.0)
@@ -97,6 +97,21 @@ def test_theta_equals_minus_half_sigma2_s0_gamma_at_zero_rate(fig_env):
     g = am.gamma(FIG_CONFIG, cfg, ensemble=ens)
     th = am.theta(FIG_CONFIG, cfg, ensemble=ens)
     assert th.mean == -0.5 * FIG_CONFIG.sigma**2 * FIG_CONFIG.s0 * g.mean
+
+
+@pytest.mark.parametrize("method", [IDENTITY, FD])
+def test_theta_mean_is_the_mean_of_its_per_path_values(method):
+    # at r > 0 and sigma^2 s0 / 2 not a power of two the mean of the per-path
+    # relation and the relation of the three means differ in the last bits;
+    # the estimate reports the former, the one its stderr belongs to
+    spec = OptionSpec(1.3, 1.1, 0.7, 0.03, 1.5)
+    cfg = MCConfig(3_000, 64, 42)
+    ens = shared_ensemble(cfg, [("theta", method, {"spec": spec})])
+    values = QUANTITIES["theta"].methods[method][1](ens, spec=spec)
+    est = am.theta(spec, cfg, method, ensemble=ens)
+    assert est.mean == float(values.mean())
+    assert est.stderr == pytest.approx(float(values.std(ddof=1)) / math.sqrt(cfg.n_paths),
+                                       rel=1e-12)
 
 
 def test_gamma_nonnegative_within_noise(fig_env):
