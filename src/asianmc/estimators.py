@@ -69,8 +69,9 @@ class Estimate:
             raise ValueError("n_paths must be >= 1")
         if not math.isfinite(self.mean):
             raise ValueError(f"estimate mean is not finite: {self.mean}")
-        if not self.stderr >= 0:  # NaN fails this too
-            raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
+        if not 0 <= self.stderr < math.inf:  # NaN fails this too
+            bound = "finite" if self.stderr == math.inf else "nonnegative"
+            raise ValueError(f"stderr must be {bound}, got {self.stderr}")
 
     def combined_stderr(self, other: "Estimate") -> float:
         return math.hypot(self.stderr, other.stderr)
@@ -490,7 +491,15 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
               ensemble: Mapping[float, PathBatch] | None, **args) -> Estimate:
     """Estimate row ``q`` at ``args`` (its parameters, as from
     :meth:`Quantity.arguments`, and any keyword-only extras such as
-    ``bandwidth``) with ``method``, reading ``ensemble`` where it has the keys."""
+    ``bandwidth``) with ``method``, reading ``ensemble`` where it has the keys.
+
+    The values and their wrap are the float-range backstop: an overflow,
+    division by zero or invalid operation there (underflow stays silent)
+    raises ValueError naming the method and ``args``, where it would
+    otherwise warn and leave an infinite or NaN estimate.  A key the path
+    core cannot draw names them too, after its own message, since an option
+    row's horizon is formed from several parameters.  Constants that can
+    leave the float range are checked, and named, where they are formed."""
     q.check(args)
     if cfg is None:
         raise ValueError("an MCConfig is required")
@@ -500,16 +509,28 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
     if exact is not None:
         return Estimate(exact, 0.0, cfg.n_paths, method, ("closed-form",))
     horizon = q.horizon(args)
-    ens = _ensemble_for(horizon, q.keys(method, args), cfg, ensemble)
-    out = q.methods[method][1](ens, **args)
-    values, flags = out if isinstance(out, tuple) else (out, ())
-    dt = horizon / cfg.n_steps
-    threshold = q.threshold(args)
-    if threshold is not None and threshold <= dt / 2:
-        # every trapezoid integral is at least dt/2, since X_0 = 1: the grid
-        # cannot resolve a threshold this low
-        flags = (f"coarse-grid(dt={dt:.17g})",) + flags
-    return _wrap(values, method, flags)
+    try:  # a key the path core cannot draw names the horizon it is at
+        ens = _ensemble_for(horizon, q.keys(method, args), cfg, ensemble)
+    except ValueError as exc:
+        raise ValueError(f"{exc} ({_call(method, args)})") from None
+    try:  # an overflow, division by zero or NaN in the values or their wrap
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = q.methods[method][1](ens, **args)
+            values, flags = out if isinstance(out, tuple) else (out, ())
+            dt = horizon / cfg.n_steps
+            threshold = q.threshold(args)
+            if threshold is not None and threshold <= dt / 2:
+                # every trapezoid integral is at least dt/2, since X_0 = 1:
+                # the grid cannot resolve a threshold this low
+                flags = (f"coarse-grid(dt={dt:.17g})",) + flags
+            return _wrap(values, method, flags)
+    except FloatingPointError as exc:
+        raise ValueError(f"{_call(method, args)} leaves the float range: {exc}") from None
+
+
+def _call(method: str, args: Mapping) -> str:
+    """A call of ``_estimate`` in words, for its error messages."""
+    return f"{method} estimate at " + ", ".join(f"{name}={value}" for name, value in args.items())
 
 
 def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float]]:

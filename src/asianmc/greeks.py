@@ -8,10 +8,14 @@ distribution estimators in :mod:`asianmc.estimators`; finite-difference
 cross-checks with common random numbers are built in.  The price and each
 Greek are option rows of the quantity table, and so are the comparison
 routes :func:`vega_weighted` and :func:`theta_fd_expiry` (private rows):
-every public function here is one call of ``estimators._estimate``.  At
-strike 0 every row is exact, and such a call draws no paths.  A report
-reads every horizon and drift it needs (the driftless and drift-1 batches
-at T, and the FD vega's two sigma-moved horizons) from one draw of normals.
+every public function here is one call of ``estimators._estimate``.  Each
+per-path builder is itself a row function ``(ens, spec)`` that reads its
+batches at the spec's horizon, so the rows list the builders, and the
+theta rows are the one pricing relation (:func:`_pricing_relation`) over
+three builders of their method.  At strike 0 every row is exact, and such
+a call draws no paths.  A report reads every horizon and drift it needs
+(the driftless and drift-1 batches at T, and the FD vega's two
+sigma-moved horizons) from one draw of normals.
 
 Rate convention: pricing the driftless integral at every rate means the
 underlying has zero risk-neutral drift, as a futures price has, or a stock
@@ -124,28 +128,32 @@ class GreekReport:
 # ---------------------------------------------------------------------------
 
 
-def price_naive_values(spec: OptionSpec, batch: PathBatch) -> np.ndarray:
-    """Discounted payoff per path: (s0 / (tau sigma^2)) e^{-r tau} (A - a)^+."""
-    values = _excess(batch.integral, spec.scale_a)
+def price_naive_values(ens, spec: OptionSpec, **_) -> np.ndarray:
+    """Discounted payoff per path on the driftless batch of ``ens`` at the
+    spec's horizon: (s0 / (tau sigma^2)) e^{-r tau} (A - a)^+."""
+    values = _excess(ens[spec.horizon, 0.0].integral, spec.scale_a)
     values *= spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
     return values
 
 
-def price_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
-    values = kernel_identity_values(batch0, spec.scale_a, 0.0)
+def price_identity_values(ens, spec: OptionSpec, **_) -> np.ndarray:
+    """The kernel identity at the scale on the driftless batch at the spec's
+    horizon, times (s0 / (tau sigma^2)) e^{-r tau}."""
+    values = kernel_identity_values(ens[spec.horizon, 0.0], spec.scale_a, 0.0)
     values *= spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
     return values
 
 
-def delta_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
-    """Transformed-measure delta: the printed closed-form weight combination.
+def delta_identity_values(ens, spec: OptionSpec, **_) -> np.ndarray:
+    """Transformed-measure delta on the driftless batch at the spec's horizon:
+    the printed closed-form weight combination
 
     e^{-r tau} + (k/s0) e^{-r tau - 2/a} { a E[(a+A)^{-1} e^{2M/(a+A)}]
                                            - E[e^{2M/(a+A)}] }.
     The bracket's weight -A/(a+A) e^{Y - 2/a} is split by
     :func:`~asianmc.estimators.split_weight`; its tail factor is -A/a.
     """
-    a = spec.scale_a
+    batch0, a = ens[spec.horizon, 0.0], spec.scale_a
     integ = batch0.integral
     body, tail = split_weight(batch0, a)
     scratch = integ + a
@@ -159,14 +167,15 @@ def delta_identity_values(spec: OptionSpec, batch0: PathBatch) -> np.ndarray:
     return values
 
 
-def gamma_identity_values(spec: OptionSpec, batch0: PathBatch, batch1: PathBatch) -> np.ndarray:
-    """The density identity at the scale, times sigma^2 k^2 tau / s0^3 e^{-r tau};
+def gamma_identity_values(ens, spec: OptionSpec, **_) -> np.ndarray:
+    """The density identity at the scale, on the driftless and drift-1
+    batches at the spec's horizon, times sigma^2 k^2 tau / s0^3 e^{-r tau};
     each factor raises naming what it is formed from where it leaves the
     float range."""
     _two_over_square(spec.scale_a, f"2/scale^2 ({SCALE})")  # named here; density forms it too
     factor = check_formed("gamma factor sigma^2 strike^2 expiry / s0^3", lambda: (
         spec.sigma**2 * spec.strike**2 * spec.expiry / spec.s0**3 * spec.discount))
-    values = density_identity_values(batch0, batch1, spec.scale_a)
+    values = density_identity_values(ens[spec.horizon, 0.0], ens[spec.horizon, 1.0], spec.scale_a)
     values *= factor
     return values
 
@@ -201,17 +210,19 @@ def _central(spec: OptionSpec, name: str, step: str,
     sigma or expiry.
     """
     up, dn, h = _moved(spec, name, step)
-    return (price_naive_values(up, ens[up.horizon, 0.0]),
-            price_naive_values(dn, ens[dn.horizon, 0.0]), h)
+    return price_naive_values(ens, up), price_naive_values(ens, dn), h
 
 
-def _pricing_relation(spec: OptionSpec, p: np.ndarray, d: np.ndarray,
-                      g: np.ndarray) -> np.ndarray:
-    """Theta r p - r s0 d - (sigma^2 s0 / 2) g per path, from per-path price,
-    delta and gamma values of one method on the same paths, so the theta's
-    mean and stderr are those of this one combination."""
-    r, s0, sig = spec.rate, spec.s0, spec.sigma
-    return r * p - r * s0 * d - 0.5 * sig**2 * s0 * g
+def _pricing_relation(price: Callable, delta: Callable, gamma: Callable) -> Callable:
+    """The theta row function over three builders of one method: the
+    paper's pricing relation r p - r s0 d - (sigma^2 s0 / 2) g per path,
+    with p, d and g the values of ``price``, ``delta`` and ``gamma``, built
+    in that order on the same paths, so the theta's mean and stderr are
+    those of this one combination.  It is the only theta formula."""
+    def values(ens, spec, **_) -> np.ndarray:
+        p, d, g = price(ens, spec), delta(ens, spec), gamma(ens, spec)
+        return spec.rate * p - spec.rate * spec.s0 * d - 0.5 * spec.sigma**2 * spec.s0 * g
+    return values
 
 
 def _first_difference(name: str, step: str, sign: float = 1.0):
@@ -229,20 +240,11 @@ def _first_difference(name: str, step: str, sign: float = 1.0):
 def _gamma_fd_values(ens, spec, **_) -> np.ndarray:
     up, dn, h = _central(spec, "s0", "gamma", ens)
     h2 = check_formed(f"FD step h^2 (h = {FD_REL_STEP['gamma']} s0)", lambda: h**2, POSITIVE)
-    return (up - 2.0 * price_naive_values(spec, ens[spec.horizon, 0.0]) + dn) / h2
+    return (up - 2.0 * price_naive_values(ens, spec) + dn) / h2
 
 
-def _theta_identity_values(ens, spec, **_) -> np.ndarray:
-    batch0 = ens[spec.horizon, 0.0]
-    return _pricing_relation(spec, price_identity_values(spec, batch0),
-                             delta_identity_values(spec, batch0),
-                             gamma_identity_values(spec, batch0, ens[spec.horizon, 1.0]))
-
-
-def _theta_fd_values(ens, spec, **_) -> np.ndarray:
-    return _pricing_relation(spec, price_naive_values(spec, ens[spec.horizon, 0.0]),
-                             QUANTITIES["delta"].methods[FD][1](ens, spec=spec),
-                             _gamma_fd_values(ens, spec))
+# the FD delta row, which the FD theta reads too
+_FD_DELTA = _first_difference("s0", "delta")
 
 
 def _vega_identity_values(ens, spec, **_):
@@ -260,7 +262,7 @@ def _vega_identity_values(ens, spec, **_):
     """
     batch0, a = ens[spec.horizon, 0.0], spec.scale_a
     surv0 = 1.0 - (batch0.integral <= a)
-    values = _vega_relation(spec, price_identity_values(spec, batch0),
+    values = _vega_relation(spec, price_identity_values(ens, spec),
                             1.0 - tilted_cdf_values(batch0, a, 1.0), surv0)
     if not spec.rate > 0.0:
         return values
@@ -271,7 +273,7 @@ def _vega_identity_values(ens, spec, **_):
 
 def _vega_weighted_values(ens, spec, **_) -> np.ndarray:
     t, a = spec.horizon, spec.scale_a
-    return _vega_relation(spec, price_identity_values(spec, ens[t, 0.0]),
+    return _vega_relation(spec, price_identity_values(ens, spec),
                           1.0 - weighted_cdf_values(ens[t, 1.0], a),
                           1.0 - weighted_cdf_values(ens[t, 0.0], a))
 
@@ -314,23 +316,21 @@ class _Option(Quantity):
 
 QUANTITIES.update(
     price=_Option(OPTION_PARAMS, {
-        NAIVE: ((0.0,), lambda ens, spec, **_: price_naive_values(spec, ens[spec.horizon, 0.0])),
-        IDENTITY: ((0.0,),
-                   lambda ens, spec, **_: price_identity_values(spec, ens[spec.horizon, 0.0])),
+        NAIVE: ((0.0,), price_naive_values),
+        IDENTITY: ((0.0,), price_identity_values),
     }, zero_strike=lambda spec: spec.s0 * spec.discount),
     delta=_Option(OPTION_PARAMS, {
-        IDENTITY: ((0.0,),
-                   lambda ens, spec, **_: delta_identity_values(spec, ens[spec.horizon, 0.0])),
-        FD: _first_difference("s0", "delta"),
+        IDENTITY: ((0.0,), delta_identity_values),
+        FD: _FD_DELTA,
     }, zero_strike=lambda spec: spec.discount),
     gamma=_Option(OPTION_PARAMS, {
-        IDENTITY: ((0.0, 1.0), lambda ens, spec, **_: gamma_identity_values(
-            spec, ens[spec.horizon, 0.0], ens[spec.horizon, 1.0])),
+        IDENTITY: ((0.0, 1.0), gamma_identity_values),
         FD: ((0.0,), _gamma_fd_values),
     }),
     theta=_Option(OPTION_PARAMS, {
-        IDENTITY: ((0.0, 1.0), _theta_identity_values),
-        FD: ((0.0,), _theta_fd_values),
+        IDENTITY: ((0.0, 1.0), _pricing_relation(price_identity_values, delta_identity_values,
+                                                 gamma_identity_values)),
+        FD: ((0.0,), _pricing_relation(price_naive_values, _FD_DELTA[1], _gamma_fd_values)),
     }),
     vega=_Option(OPTION_PARAMS, {
         IDENTITY: ((0.0,), _vega_identity_values),
@@ -376,10 +376,12 @@ def theta(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY, *,
     :func:`theta_fd_expiry`.
 
     The relation is applied per path to the price, delta and gamma values of
-    the same method on the same paths, and the mean and stderr are those of
-    the combined values, so shared-path covariances are kept.  The mean
-    equals the same combination of the three means up to rounding, and
-    exactly at rate 0 when sigma^2 s0 / 2 is a power of two.
+    the same method on the same paths (identity: the three identity
+    builders; fd: the naive price, the FD delta and the FD gamma), and the
+    mean and stderr are those of the combined values, so shared-path
+    covariances are kept.  The mean equals the same combination of the
+    three means up to rounding, and exactly at rate 0 when sigma^2 s0 / 2
+    is a power of two.
     """
     return _estimate(QUANTITIES["theta"], cfg, method, ensemble, spec=spec)
 

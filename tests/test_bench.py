@@ -132,6 +132,10 @@ def test_nonfinite_grid_value_is_a_row_error():
         # an option cell fails when its OptionSpec is built
         ("price", {"sigma": (-1.0, 1.0)}, 8, "sigma must be positive, got -1.0"),
         ("price", {"sigma": (1e200, 1.0)}, 8, "horizon sigma^2 expiry must be finite, got inf"),
+        # a cell whose values leave the float range, named by its method
+        ("price", {"s0": (1e200, 1.0)}, 8, "{method} estimate at spec=OptionSpec(s0=1e+200, "
+         "strike=1.0, sigma=1.0, rate=0.0, expiry=1.0) leaves the float range: "
+         "overflow encountered in square"),
     ):
         spec = SweepSpec(quantity, grids, (64,), (1, 2), ("naive", "identity"), n_steps=n_steps)
         rows = run_sweep(spec).rows
@@ -139,7 +143,8 @@ def test_nonfinite_grid_value_is_a_row_error():
         ok = [r for r in rows if r.error is None]
         # one error row per (n_paths, seed, method), the rest of the sweep intact
         assert len(failed) == len(ok) == 4, (quantity, grids, n_steps)
-        assert all(r.error == message and r.estimate is None for r in failed)
+        assert all(r.error == message.format(method=r.method) and r.estimate is None
+                   for r in failed)
         assert all(r.estimate is not None for r in ok)
         # an error row holds the sweep's step count, None on the default grid
         assert all(r.n_steps == n_steps for r in failed)

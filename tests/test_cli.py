@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -110,6 +111,8 @@ SCALE = "scale sigma^2 strike expiry / s0"
     (("density", "--a", "1", "--t", "1e8"), "drift factor exp(nu t) at nu = 1.0, t = 100000000.0"),
     (("greeks", "--sigma", "1e8"), "drift factor exp(nu t) at nu = 1.0, t = 1e+16"),
     (("cdf", "--a", "1", "--nu", "700"), None),  # exp(700) is finite: exit 0
+    # the identity kernel's change-of-drift weight M^700 overflows
+    (("kernel", "--a", "1", "--nu", "700"), "nu"),
 ])
 def test_extreme_constants_exit_two_naming_the_parameter_or_stay_finite(argv, name):
     with warnings.catch_warnings(record=True) as caught:
@@ -122,6 +125,44 @@ def test_extreme_constants_exit_two_naming_the_parameter_or_stay_finite(argv, na
     else:
         assert code == 2 and out == ""
         assert name in err.splitlines()[0]
+
+
+# each single-quantity command and its row; kernel --order 1 and 2 take no nu
+_SINGLE_QUANTITY_COMMANDS = [
+    (("price",), "price"), (("greeks", "--fd-check"), "price"), (("cdf",), "cdf"),
+    (("density",), "density"), (("joint",), "joint_cdf"),
+    (("kernel", "--order", "0"), "call_kernel"), (("kernel", "--order", "1"), "call_kernel_d1"),
+    (("kernel", "--order", "2"), "call_kernel_d2"),
+]
+
+
+def _extreme_argvs():
+    """Every parameter of every single-quantity command at 1e+-8, 1e+-100,
+    1e+-200 and 1e+-300, each other required parameter at 1."""
+    for command, row in _SINGLE_QUANTITY_COMMANDS:
+        q = am.estimators.QUANTITIES[row]
+        for name in q.params:
+            required = [arg for p in q.params if p not in q.defaults and p != name
+                        for arg in (f"--{p}", "1")]
+            for value in (f"1e{sign}{e}" for e in (8, 100, 200, 300) for sign in "+-"):
+                argv = (*command, *required, f"--{name}", value)
+                yield pytest.param(argv, name, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv, name", _extreme_argvs())
+def test_every_parameter_at_extreme_magnitudes_names_itself_or_stays_finite(argv, name):
+    # no numpy warning: either finite estimates and stderrs, or exit 2 with
+    # a message whose first line names the parameter
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        rows = parse(out)
+        assert rows and all(math.isfinite(float(r[k])) for r in rows for k in ("estimate", "stderr"))
+    else:
+        assert code == 2 and out == ""
+        assert re.search(rf"\b{name}\b", err.splitlines()[0]), err
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -132,6 +132,8 @@ def test_estimate_validation():
     # NaN fails every comparison, a "stderr < 0" test included
     with pytest.raises(ValueError, match="stderr must be nonnegative, got nan"):
         Estimate(0.0, float("nan"), 10, "naive")
+    with pytest.raises(ValueError, match="stderr must be finite, got inf"):
+        Estimate(0.0, float("inf"), 10, "naive")
 
 
 def test_transform_rejects_nonfinite_f_with_path_index():
@@ -748,23 +750,24 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
         assert spec.horizon == 1.0
         scale = spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
         pre = spec.sigma**2 * spec.strike**2 * spec.expiry / spec.s0**3 * spec.discount
-        assert _same_bits(am.greeks.price_naive_values(spec, b0),
+        assert _same_bits(am.greeks.price_naive_values(ens, spec),
                           scale * np.maximum(b0.integral - ka, 0.0))
-        assert _same_bits(am.greeks.price_identity_values(spec, b0),
+        assert _same_bits(am.greeks.price_identity_values(ens, spec),
                           scale * kernel_identity_values(b0, ka, 0.0))
-        assert _same_bits(am.greeks.gamma_identity_values(spec, b0, b1),
+        assert _same_bits(am.greeks.gamma_identity_values(ens, spec),
                           pre * density_identity_values(b0, b1, ka))
         assert _same_bits(kernel_identity_values(b0, a, nu), _reference_kernel(b0, a, nu))
         values, flags = QUANTITIES["vega"].methods[IDENTITY][1](ens, spec=spec)
         want, want_flags = _reference_vega(spec, b0)
         assert _same_bits(values, want) and flags == want_flags, a
-        # each theta row is the pricing relation on its own method's price,
-        # delta and gamma row values
+        # each theta row is the pricing relation r p - r s0 d - (sigma^2 s0/2) g
+        # on its own method's price, delta and gamma row values
+        r, s0, sig = spec.rate, spec.s0, spec.sigma
         for method, price_method in ((IDENTITY, IDENTITY), ("fd", NAIVE)):
-            parts = [QUANTITIES[name].methods[m][1](ens, spec=spec)
-                     for name, m in (("price", price_method), ("delta", method), ("gamma", method))]
+            p, d, g = [QUANTITIES[name].methods[m][1](ens, spec=spec) for name, m in
+                       (("price", price_method), ("delta", method), ("gamma", method))]
             assert _same_bits(QUANTITIES["theta"].methods[method][1](ens, spec=spec),
-                              am.greeks._pricing_relation(spec, *parts)), (method, a)
+                              r * p - r * s0 * d - 0.5 * sig**2 * s0 * g), (method, a)
     # the first differences of the naive price, on one ensemble that holds
     # every horizon they read: s0 at T, sigma and expiry at their moved ones
     cfg = full[1.0, 0.0].cfg

@@ -171,7 +171,7 @@ def test_vega_adjudication_discount_on_strike_term():
     sig, disc, a = spec.sigma, spec.discount, spec.scale_a
     surv1 = 1.0 - b0.terminal * (b0.integral <= a)
     surv0 = 1.0 - (b0.integral <= a)
-    pv = am.greeks.price_naive_values(spec, b0)
+    pv = am.greeks.price_naive_values({(spec.horizon, 0.0): b0}, spec)
     vals = (-2 / sig) * pv + (2 * spec.s0 / sig) * disc * surv1 \
         - (2 * spec.strike / sig) * disc * surv0
     discounted = float(vals.mean())
@@ -225,7 +225,8 @@ def test_fd_vega_bumped_prices_equal_fresh_draws_at_each_horizon():
     assert h == FD_REL_STEP["vega"] * spec.sigma
     for values, sigma in ((up, spec.sigma + h), (dn, spec.sigma - h)):
         moved = replace(spec, sigma=sigma)
-        fresh = price_naive_values(moved, am.sample_batch(moved.horizon, 0.0, cfg))
+        t = moved.horizon
+        fresh = price_naive_values({(t, 0.0): am.sample_batch(t, 0.0, cfg)}, moved)
         np.testing.assert_array_equal(values, fresh)
 
 
