@@ -5,19 +5,22 @@ path counts, seeds and methods, capturing per-row errors instead of aborting,
 and returns rows in a deterministic lexicographic order so reruns are
 bit-identical.  ``quadrature_bias_report`` isolates the time-discretization
 effect of the trapezoid integral by evaluating nested grids on the same
-Brownian paths.
+Brownian paths: ``paths`` draws the finest grid once and returns a batch per
+step count, and each grid's mean integral is a row estimated by
+``_estimate``, like every other estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import greeks  # noqa: F401 -- adds the option rows to QUANTITIES
-from .estimators import QUANTITIES, Estimate, _call_keys, _estimate, _wrap, stable_exp_rate
-from .paths import MCConfig, _batches, _integer, _simulate_all, default_steps
+from .estimators import (QUANTITIES, Estimate, Quantity, _call_keys, _estimate, _wrap,
+                         stable_exp_rate)
+from .paths import NONNEGATIVE, MCConfig, _batches, _integer, _nested_batches, default_steps
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,12 @@ class BiasRow:
     closed_form_gap: float
 
 
+# the mean integral on one grid, a private row whose one method reads the
+# grid's batch as given
+_MEAN_INTEGRAL = Quantity({"t": NONNEGATIVE, "nu": None},
+                          {"nested": (("nu",), lambda ens, t, nu: ens[t, nu].integral)})
+
+
 def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: MCConfig,
                            *, threads: int | None = None) -> tuple[BiasRow, ...]:
     """Trapezoid bias of the mean integral versus the closed form (e^{nu t}-1)/nu.
@@ -201,7 +210,10 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     Every row restricts the same finest-grid Brownian paths to a coarser
     uniform grid, so the rows differ only by discretization, not by sampling
     noise.  Each coarser step count must divide the finest, which replaces
-    ``cfg.n_steps``; each row holds its grid's :class:`Estimate`.
+    ``cfg.n_steps`` (:func:`~asianmc.paths._nested_batches` draws and checks
+    the grids).  Each row holds its grid's :class:`Estimate`, made by
+    ``_estimate`` on that grid's batch, so a mean or stderr that would
+    leave the float range raises ValueError naming t and nu.
     At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
     step count (each grid sample has unit expectation), so gaps there show
     pure shared Monte Carlo noise; drifted runs show the genuine O(dt^2)
@@ -209,19 +221,8 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     threads as in :func:`~asianmc.paths.sample_ensemble`; None (the default)
     is serial.
     """
-    steps = sorted({_integer("every step count of the steps grid", s) for s in steps_grid})
-    if not steps:
-        raise ValueError("steps grid must be nonempty")
-    if any(s < 1 for s in steps):
-        raise ValueError("step counts must be positive")
-    finest = steps[-1]
-    if any(finest % s for s in steps):
-        raise ValueError("every step count must divide the finest one")
-    grids = next(_simulate_all([(((t, nu, finest // s) for s in steps),
-                                 replace(cfg, n_steps=finest))], threads))
+    batches = _nested_batches(t, nu, steps_grid, cfg, threads)
     target = stable_exp_rate(nu, t)
-    out = []
-    for s in steps:
-        est = _wrap(grids[t, nu, finest // s][1], "nested")
-        out.append(BiasRow(s, est, abs(est.mean - target)))
-    return tuple(out)
+    ests = [_estimate(_MEAN_INTEGRAL, b.cfg, "nested", {nu: b}, t=t, nu=nu) for b in batches]
+    return tuple(BiasRow(b.cfg.n_steps, est, abs(est.mean - target))
+                 for b, est in zip(batches, ests))

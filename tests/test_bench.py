@@ -8,7 +8,7 @@ import pytest
 import asianmc as am
 from asianmc import MCConfig
 from asianmc.bench import SweepSpec, quadrature_bias_report, run_sweep
-from asianmc.estimators import QUANTITIES
+from asianmc.estimators import QUANTITIES, _wrap
 
 
 def test_sweep_spec_validation():
@@ -212,9 +212,13 @@ def test_bias_gaps_tiny_for_driftless_mean():
 
 
 def test_bias_rows_match_plain_batch_at_finest_grid():
+    # bit for bit: the finest row is the plain batch's wrap, and each coarser
+    # row the wrap of the path core's stride over the same finest-grid paths
     cfg = MCConfig(5_000, 256, 9)
-    rows = quadrature_bias_report(1.0, 0.0, (256,), cfg)
-    batch = am.sample_batch(1.0, 0.0, cfg)
-    assert rows[0].estimate.mean == pytest.approx(float(batch.integral.mean()), rel=1e-12)
-    plain_se = float(batch.integral.std(ddof=1)) / math.sqrt(cfg.n_paths)
-    assert rows[0].estimate.stderr == pytest.approx(plain_se, rel=1e-12)
+    steps = (16, 64, 256)
+    rows = quadrature_bias_report(1.0, 0.5, steps, cfg)
+    assert [row.n_steps for row in rows] == list(steps)
+    assert rows[-1].estimate == _wrap(am.sample_batch(1.0, 0.5, cfg).integral, "nested")
+    grids = next(am.paths._simulate_all([([(1.0, 0.5, 256 // s) for s in steps], cfg)]))
+    for row in rows:
+        assert row.estimate == _wrap(grids[1.0, 0.5, 256 // row.n_steps][1], "nested")

@@ -138,24 +138,27 @@ _SINGLE_QUANTITY_COMMANDS = [
 
 def _extreme_argvs():
     """Every parameter of every single-quantity command at 1e+-8, 1e+-100,
-    1e+-200 and 1e+-300, each other required parameter at 1."""
+    1e+-200 and 1e+-300, each other required parameter at 1; and bias's t
+    (at nu 0 and at its default nu 1) and nu at the same magnitudes."""
+    cases = [(("bias", "--nu", "0"), "t"), (("bias",), "t"), (("bias",), "nu")]
     for command, row in _SINGLE_QUANTITY_COMMANDS:
         q = am.estimators.QUANTITIES[row]
-        for name in q.params:
-            required = [arg for p in q.params if p not in q.defaults and p != name
-                        for arg in (f"--{p}", "1")]
-            for value in (f"1e{sign}{e}" for e in (8, 100, 200, 300) for sign in "+-"):
-                argv = (*command, *required, f"--{name}", value)
-                yield pytest.param(argv, name, id=" ".join(argv))
+        cases += [((*command, *(arg for p in q.params if p not in q.defaults and p != name
+                                for arg in (f"--{p}", "1"))), name) for name in q.params]
+    for prefix, name in cases:
+        for value in (f"1e{sign}{e}" for e in (8, 100, 200, 300) for sign in "+-"):
+            argv = (*prefix, f"--{name}", value)
+            yield pytest.param(argv, name, id=" ".join(argv))
 
 
 @pytest.mark.parametrize("argv, name", _extreme_argvs())
 def test_every_parameter_at_extreme_magnitudes_names_itself_or_stays_finite(argv, name):
     # no numpy warning: either finite estimates and stderrs, or exit 2 with
     # a message whose first line names the parameter
+    grid = ("--steps-grid", "4,8") if argv[0] == "bias" else ("--steps", "8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
+        code, out, err = invoke(*argv, "--paths", "64", *grid)
     assert [str(w.message) for w in caught] == []
     if code == 0:
         rows = parse(out)
@@ -487,3 +490,33 @@ def test_only_the_path_module_makes_path_batches():
                  if isinstance(node, ast.Call) and "PathBatch" in
                  (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
         assert source.name == "paths.py" or not calls, (source.name, calls)
+
+
+def _scopes(match):
+    """The qualified scope, such as ``bench.SweepResult.seed_mean``, of every
+    node of the library's modules for which ``match`` holds."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.add(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if inner else scope)
+
+    for source in Path(am.__file__).parent.glob("*.py"):
+        visit(ast.parse(source.read_text()), source.stem)
+    return found
+
+
+def _names(node):
+    return getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+
+
+def test_one_route_to_the_path_core_and_to_the_wrapper():
+    # only paths reads the path core's arrays; every Estimate is wrapped by
+    # estimators._estimate, but for the across-seed mean of a sweep's cells
+    assert {scope.partition(".")[0] for scope in
+            _scopes(lambda node: "_simulate_all" in _names(node))} == {"paths"}
+    assert _scopes(lambda node: isinstance(node, ast.Call) and "_wrap" in _names(node.func)) \
+        == {"estimators._estimate", "bench.SweepResult.seed_mean"}
