@@ -5,14 +5,14 @@ path counts, seeds and methods, capturing per-row errors instead of aborting,
 and returns rows in a deterministic lexicographic order so reruns are
 bit-identical.  ``quadrature_bias_report`` isolates the time-discretization
 effect of the trapezoid integral by evaluating nested grids on the same
-Brownian paths: ``paths`` draws the finest grid once and returns a batch per
-step count, and each grid's mean integral is a row estimated by
-``_estimate``, like every other estimate.
+Brownian paths: ``paths._batches`` draws the finest grid once and returns a
+batch per step count, read at its stride, and each grid's mean integral is a
+row estimated by ``_estimate``, like every other estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import greeks  # noqa: F401 -- adds the option rows to QUANTITIES
 from .estimators import (QUANTITIES, Estimate, Quantity, _call_keys, _estimate, _wrap,
                          stable_exp_rate)
-from .paths import NONNEGATIVE, MCConfig, _batches, _integer, _nested_batches, default_steps
+from .paths import NONNEGATIVE, MCConfig, _batches, _integer, default_steps
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     ensembles = _batches(((_call_keys((spec.quantity, m, args) for args in pts.values()
                                       for m in spec.methods), cfg) for cfg, pts in todo), threads)
     rows = list(errors.values())
-    for (cfg, pts), ens in zip(todo, ensembles):
+    for (cfg, pts), batches in zip(todo, ensembles):
+        ens = {(b.t, b.nu): b for b in batches}
         for pt, args in pts.items():
             for method in spec.methods:
                 try:
@@ -209,11 +210,12 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
 
     Every row restricts the same finest-grid Brownian paths to a coarser
     uniform grid, so the rows differ only by discretization, not by sampling
-    noise.  Each coarser step count must divide the finest, which replaces
-    ``cfg.n_steps`` (:func:`~asianmc.paths._nested_batches` draws and checks
-    the grids).  Each row holds its grid's :class:`Estimate`, made by
-    ``_estimate`` on that grid's batch, so a mean or stderr that would
-    leave the float range raises ValueError naming t and nu.
+    noise.  The step counts must be positive integers, each dividing the
+    finest, which replaces ``cfg.n_steps``; one draw of the finest grid gives
+    every row, the grid of s steps at stride finest / s.  Each row holds its
+    grid's :class:`Estimate`, made by ``_estimate`` on that grid's batch, so
+    a mean or stderr that would leave the float range raises ValueError
+    naming t and nu.
     At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
     step count (each grid sample has unit expectation), so gaps there show
     pure shared Monte Carlo noise; drifted runs show the genuine O(dt^2)
@@ -221,7 +223,16 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     threads as in :func:`~asianmc.paths.sample_ensemble`; None (the default)
     is serial.
     """
-    batches = _nested_batches(t, nu, steps_grid, cfg, threads)
+    steps = sorted({_integer("every step count of the steps grid", s) for s in steps_grid})
+    if not steps:
+        raise ValueError("steps grid must be nonempty")
+    if any(s < 1 for s in steps):
+        raise ValueError("step counts must be positive")
+    finest = steps[-1]
+    if any(finest % s for s in steps):
+        raise ValueError("every step count must divide the finest one")
+    keys = [(t, nu, finest // s) for s in steps]
+    batches = next(_batches([(keys, replace(cfg, n_steps=finest))], threads))
     target = stable_exp_rate(nu, t)
     ests = [_estimate(_MEAN_INTEGRAL, b.cfg, "nested", {nu: b}, t=t, nu=nu) for b in batches]
     return tuple(BiasRow(b.cfg.n_steps, est, abs(est.mean - target))

@@ -103,13 +103,15 @@ def _emit(rows: list[list[str]], args) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, grid: bool = True) -> None:
+    """The flags every command takes; ``--steps`` and ``--method`` only with ``grid``."""
     p.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths")
-    p.add_argument("--steps", type=int, default=None,
-                   help="grid steps per path (default: 1024 per unit effective time, min 256)")
     p.add_argument("--seed", type=int, default=42, help="master seed")
-    p.add_argument("--method", choices=("naive", "identity", "both", "fd"),
-                   default="both", help="estimator family")
+    if grid:
+        p.add_argument("--steps", type=int, default=None,
+                       help="grid steps per path (default: 1024 per unit effective time, min 256)")
+        p.add_argument("--method", choices=("naive", "identity", "both", "fd"),
+                       default="both", help="estimator family")
     p.add_argument("--antithetic", action="store_true", default=False,
                    help="pair path 2k+1 with the negated increments of path 2k")
     p.add_argument("--threads", type=int, default=DEFAULT_THREADS,
@@ -132,15 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_,
+    def command(name: str, help_: str, grid: bool = True) -> argparse.ArgumentParser:
+        # a command without grid flags takes no prefix of a flag: bias would
+        # read --steps as --steps-grid
+        p = sub.add_parser(name, help=help_, allow_abbrev=grid,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         q = QUANTITIES[_COMMAND_ROWS[name][0]] if name in _COMMAND_ROWS else None
         for param, bound in q.params.items() if q else ():
             default = q.defaults.get(param)
             p.add_argument(f"--{param}", type=float, default=default, required=default is None,
                            help=f"a {bound or 'finite'} number")
-        _add_common(p)
+        _add_common(p, grid)
         return p
 
     command("price", "Asian call price")
@@ -172,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, metavar="S1,S2,...",
                    help="seed list (default: the single --seed value)")
 
-    p = command("bias", "trapezoid bias of the mean integral on nested grids")
+    p = command("bias", "trapezoid bias of the mean integral on nested grids", grid=False)
     p.add_argument("--t", type=float, default=1.0, help="time horizon")
     p.add_argument("--nu", type=float, default=1.0, help="drift")
     p.add_argument("--steps-grid", default="16,64,256,1024", metavar="N1,N2,...",

@@ -53,9 +53,12 @@ class Estimate:
     """A Monte Carlo result.
 
     ``stderr`` is the sample standard deviation of the per-path values divided
-    by sqrt(n_paths); it is reported raw, with no clamping of the mean, so
-    cross-estimator comparisons stay interpretable.  It carries no timing:
-    equal calls give equal estimates.
+    by sqrt(n_paths).  Under antithetic sampling the two paths of a pair are
+    not independent, so it is the standard deviation of the pair means
+    (about the all-path mean; an odd last path is its own group) divided by
+    the square root of their number.  It is reported raw, with no clamping
+    of the mean, so cross-estimator comparisons stay interpretable.  It
+    carries no timing: equal calls give equal estimates.
     """
 
     mean: float
@@ -101,22 +104,29 @@ def _ensemble_for(
                 or (t, b.nu) in keys and (t, b.nu) not in have):
             raise ValueError(f"the supplied drift-{b.nu} batch was drawn at t={b.t} with "
                              f"{b.cfg}, but the call is at t={t} with {cfg}")
-    missing = [key for key in keys if key not in have]
+    missing = [(h, nu, 1) for h, nu in keys if (h, nu) not in have]
     if missing:
-        have.update(next(_batches([(missing, cfg)])))
+        have.update(((b.t, b.nu), b) for b in next(_batches([(missing, cfg)])))
     return have
 
 
-def _wrap(values: np.ndarray, method: str, flags: tuple[str, ...] = ()) -> Estimate:
-    """The :class:`Estimate` of per-path ``values``: their mean and its
-    stderr.  Every Monte Carlo estimate is made here."""
+def _wrap(values: np.ndarray, method: str, flags: tuple[str, ...] = (),
+          antithetic: bool = False) -> Estimate:
+    """The :class:`Estimate` of per-path ``values``: their mean m and its
+    stderr.  Every Monte Carlo estimate is made here.
+
+    The stderr is the sample sd of the independent groups about m over the
+    square root of their number: each path, or with ``antithetic`` each
+    pair of paths 2k, 2k + 1 by its mean, an odd last path on its own."""
     n = len(values)
     m = values.sum() / n  # np.mean's own arithmetic, without its Python wrapper
+    if antithetic:  # path 2k + 1 mirrors path 2k, so only their mean is independent
+        values = np.concatenate(((values[:n - n % 2:2] + values[1::2]) / 2, values[n - n % 2:]))
     stderr = 0.0
-    if n > 1:
+    if len(values) > 1:
         dev = values - m
         np.square(dev, out=dev)
-        stderr = math.sqrt(float(dev.sum()) / (n - 1)) / math.sqrt(n)
+        stderr = math.sqrt(float(dev.sum()) / (len(dev) - 1)) / math.sqrt(len(dev))
     return Estimate(float(m), stderr, n, method, flags)
 
 
@@ -523,7 +533,7 @@ def _estimate(q: Quantity, cfg: MCConfig | None, method: str,
                 # every trapezoid integral is at least dt/2, since X_0 = 1:
                 # the grid cannot resolve a threshold this low
                 flags = (f"coarse-grid(dt={dt:.17g})",) + flags
-            return _wrap(values, method, flags)
+            return _wrap(values, method, flags, cfg.antithetic)
     except FloatingPointError as exc:
         raise ValueError(f"{_call(method, args)} leaves the float range: {exc}") from None
 
@@ -533,12 +543,13 @@ def _call(method: str, args: Mapping) -> str:
     return f"{method} estimate at " + ", ".join(f"{name}={value}" for name, value in args.items())
 
 
-def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float]]:
-    """The sorted (horizon, drift) keys the ``(quantity, method, args)`` calls
-    read.  A call whose arguments or method the quantity rejects, or that
-    reads a key the path core cannot draw (a negative horizon), adds no key;
-    made with the ensemble, it raises its own error."""
-    keys: set[tuple[float, float]] = set()
+def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float, int]]:
+    """The sorted path-core keys (horizon, drift, 1), on the full grid, of
+    the (horizon, drift) pairs the ``(quantity, method, args)`` calls read.
+    A call whose arguments or method the quantity rejects, or that reads a
+    key the path core cannot draw (a negative horizon), adds no key; made
+    with the ensemble, it raises its own error."""
+    keys: set[tuple[float, float, int]] = set()
     for quantity, method, args in calls:
         q = QUANTITIES[quantity]
         try:
@@ -548,7 +559,7 @@ def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, f
                 _check_key(h, nu)
         except ValueError:
             continue
-        keys.update(reads)
+        keys.update((h, nu, 1) for h, nu in reads)
     return sorted(keys)
 
 
@@ -565,7 +576,7 @@ def shared_ensemble(cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
     method the quantity rejects, or that read a negative horizon, add no
     key; made with this ensemble, they raise their own error.
     """
-    return next(_batches([(_call_keys(calls), cfg)], threads))
+    return {(b.t, b.nu): b for b in next(_batches([(_call_keys(calls), cfg)], threads))}
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ bit for bit those of a separate call at that (t, nu), with whatever other
 horizons, drifts or grids are read beside them; a Greek report reads its
 two drifts at T and the FD vega's two moved horizons in one call, and a
 bias report reads one (t, nu) at several strides, each a batch of its own
-step count (``_nested_batches``).  Scaling after the sum, sqrt(dt) * sum(z),
-rounds differently from summing scaled steps, sum(sqrt(dt) * z): the two
-agree bit for bit when sqrt(dt) is a power of two (every default grid of a
-horizon t >= 1/4 with 1024 t an integer) and to about 1e-13 relative
-otherwise.  A chunk is drawn and evaluated one row block at a time, the
-block sized so that its normals and one grid fit in a core's L2 cache
-together; the walk replaces the block's normals, and each horizon's grid is
-built in place in one buffer per block.  So a chunk holds one block of
+step count; ``_batches`` makes every batch, at any stride.  Scaling after
+the sum, sqrt(dt) * sum(z), rounds differently from summing scaled steps,
+sum(sqrt(dt) * z): the two agree bit for bit when sqrt(dt) is a power of
+two (every default grid of a horizon t >= 1/4 with 1024 t an integer) and
+to about 1e-13 relative otherwise.  A chunk is drawn and evaluated one row
+block at a time, the block sized so that its normals and one grid fit in a
+core's L2 cache together; the walk replaces the block's normals, and each
+horizon's grid is built in place in one buffer per block.  So a chunk holds one block of
 normals and one block grid, and another block grid only for a drift that is
 neither 0 nor the last at its horizon.
 """
@@ -328,46 +328,25 @@ def _simulate_all(
 
 
 def _batches(
-    draws: Iterable[tuple[Iterable[tuple[float, float]], MCConfig]],
+    draws: Iterable[tuple[Iterable[tuple[float, float, int]], MCConfig]],
     threads: int | None = None,
-) -> Iterator[dict[tuple[float, float], PathBatch]]:
+) -> Iterator[list[PathBatch]]:
     """For each ``(keys, cfg)`` draw in turn, its :class:`PathBatch` at each
-    (t, nu) key on the full grid, keyed by that pair.
+    (t, nu, k) key, in key order.
 
-    Every draw is made by one :func:`_simulate_all` call, so the chunks of
-    consecutive small draws share the ``threads`` workers.  This and
-    :func:`_nested_batches` are the only code that turns the path core's
-    arrays into batches: the ensembles of :func:`sample_ensemble`, of the
-    estimators and of a sweep all come from here, a bias report's nested
-    grids from there.
+    The batch at stride k is the trapezoid over every k-th point of the
+    cfg.n_steps grid, so its ``cfg.n_steps`` is cfg.n_steps // k; batches at
+    several strides of one draw share their paths and differ only by
+    discretization.  Every draw is made by one :func:`_simulate_all` call,
+    so the chunks of consecutive small draws share the ``threads`` workers.
+    This is the only code that turns the path core's arrays into batches:
+    the ensembles of :func:`sample_ensemble`, of the estimators and of a
+    sweep, and a bias report's nested grids, all come from here.
     """
     draws = [(tuple(keys), cfg) for keys, cfg in draws]
-    grids = _simulate_all(((((t, nu, 1) for t, nu in keys), cfg) for keys, cfg in draws), threads)
-    for (keys, cfg), grid in zip(draws, grids):
-        yield {(t, nu): PathBatch(t, nu, *grid[t, nu, 1], cfg) for t, nu in keys}
-
-
-def _nested_batches(t: float, nu: float, steps_grid: Iterable[int], cfg: MCConfig,
-                    threads: int | None = None) -> list[PathBatch]:
-    """The :class:`PathBatch` at (t, nu) on each step count of ``steps_grid``,
-    finest last, all from one draw of the finest grid's normals.
-
-    The grid of s steps is every (finest / s)-th point of the finest one, so
-    each count must divide the finest, which replaces ``cfg.n_steps``; a
-    batch's ``cfg.n_steps`` is its own count s, and its paths are the finest
-    grid's, so the batches differ only by discretization.
-    """
-    steps = sorted({_integer("every step count of the steps grid", s) for s in steps_grid})
-    if not steps:
-        raise ValueError("steps grid must be nonempty")
-    if any(s < 1 for s in steps):
-        raise ValueError("step counts must be positive")
-    finest = steps[-1]
-    if any(finest % s for s in steps):
-        raise ValueError("every step count must divide the finest one")
-    grids = next(_simulate_all([(((t, nu, finest // s) for s in steps),
-                                 replace(cfg, n_steps=finest))], threads))
-    return [PathBatch(t, nu, *grids[t, nu, finest // s], replace(cfg, n_steps=s)) for s in steps]
+    for (keys, cfg), grid in zip(draws, _simulate_all(draws, threads)):
+        yield [PathBatch(t, nu, *grid[t, nu, k], replace(cfg, n_steps=cfg.n_steps // k))
+               for t, nu, k in keys]
 
 
 def sample_ensemble(
@@ -398,8 +377,7 @@ def sample_ensemble(
     nus = tuple(dict.fromkeys(float(nu) for nu in nus))
     if not nus:
         raise ValueError("at least one drift value is required")
-    ens = next(_batches([(((t, nu) for nu in nus), cfg)], threads))
-    return {nu: batch for (_, nu), batch in ens.items()}
+    return {b.nu: b for b in next(_batches([(((t, nu, 1) for nu in nus), cfg)], threads))}
 
 
 def sample_batch(t: float, nu: float, cfg: MCConfig, threads: int | None = None) -> PathBatch:

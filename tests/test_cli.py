@@ -85,7 +85,8 @@ def test_domain_error_exit_two():
      "scale sigma^2 strike expiry / s0 must be positive"),
 ])
 def test_nonfinite_input_exits_two_naming_the_parameter(argv, message):
-    code, out, err = invoke(*argv, "--paths", "64", "--steps", "8")
+    steps = () if argv[0] == "bias" else ("--steps", "8")  # bias takes no --steps
+    code, out, err = invoke(*argv, "--paths", "64", *steps)
     assert code == 2 and out == ""
     assert message in err
 
@@ -193,14 +194,27 @@ def test_one_chunk_of_normals_per_command(argv, chunks, monkeypatch):
     # every point and method of one command shares one ensemble: 64 paths
     # are one chunk, so one draw of normals; greeks --fd-check reads the FD
     # vega's two bumped horizons from that same draw.  A zero-strike option
-    # row is exact, so it draws nothing
+    # row is exact, so it draws nothing.  bias reads the grid it names
     calls = []
     draw = am.paths._chunk_normals
     monkeypatch.setattr(am.paths, "_chunk_normals",
                         lambda *a, **k: calls.append(a) or draw(*a, **k))
-    code, _, err = invoke(*argv, "--paths", "64", "--steps", "8")
+    steps = () if argv[0] == "bias" else ("--steps", "8")
+    code, _, err = invoke(*argv, "--paths", "64", *steps)
     assert code == 0, err
     assert len(calls) == chunks
+
+
+def test_bias_takes_no_steps_or_method_flag():
+    # bias reads its grids from --steps-grid and has one method, so it
+    # rejects both flags rather than ignoring them, and no prefix of
+    # --steps-grid stands in for --steps
+    for flag in (("--steps", "8"), ("--method", "naive"), ("--steps-g", "4,8")):
+        code, out, err = invoke("bias", "--paths", "64", "--steps-grid", "4,8", *flag)
+        assert code == 1 and out == "" and f"unrecognized arguments: {' '.join(flag)}" in err
+    code, out, _ = invoke("bias", "--help")
+    assert code == 0 and "--steps-grid" in out
+    assert not re.search(r"--steps\b(?!-)|--method", out)
 
 
 def test_parser_is_built_once_and_keeps_no_arguments(monkeypatch):
@@ -483,13 +497,15 @@ def test_library_imports_only_numpy_and_the_standard_library():
 
 
 def test_only_the_path_module_makes_path_batches():
-    # paths turns the path core's arrays into batches; every other module
-    # asks it for them
-    for source in Path(am.__file__).parent.glob("*.py"):
-        calls = [node.lineno for node in ast.walk(ast.parse(source.read_text()))
-                 if isinstance(node, ast.Call) and "PathBatch" in
-                 (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-        assert source.name == "paths.py" or not calls, (source.name, calls)
+    # paths._batches turns the path core's arrays into batches, in the
+    # library's one PathBatch call, at every stride; everything else asks
+    # it for them
+    def makes_batch(node):
+        return isinstance(node, ast.Call) and "PathBatch" in _names(node.func)
+
+    calls = [(source.name, node.lineno) for source in Path(am.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(source.read_text())) if makes_batch(node)]
+    assert len(calls) == 1 and _scopes(makes_batch) == {"paths._batches"}, calls
 
 
 def _scopes(match):

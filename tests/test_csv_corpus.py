@@ -1,0 +1,53 @@
+"""Byte-identical CSV: one small run of each command against its recorded text.
+
+``csv_corpus.json`` maps each command line to the CSV it printed when it was
+recorded.  The text is kept rather than a hash, so a failure shows the row
+that moved.  A change that moves a row on purpose re-records the corpus
+with ``PYTHONPATH=src python3 tests/test_csv_corpus.py --record`` and says
+which rows moved and why.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from asianmc.cli import run
+
+CORPUS = Path(__file__).with_name("csv_corpus.json")
+SIZE = ("--paths", "256", "--steps", "64")
+
+# one small run of each command: at most 256 paths and 64 steps, no antithetic
+ARGVS = [
+    ("price", *SIZE),
+    ("greeks", "--fd-check", "--seed", "3", *SIZE),
+    ("cdf", "--a", "1", "--t", "0.5", "--nu", "1", *SIZE),
+    ("density", "--a", "0.5", *SIZE),
+    ("joint", "--b", "1.5", "--a", "1", *SIZE),
+    ("kernel", "--a", "1", "--nu", "-0.5", "--order", "0", *SIZE),
+    ("kernel", "--a", "1", "--order", "1", *SIZE),
+    ("kernel", "--a", "2", "--order", "2", *SIZE),
+    ("sweep", "--quantity", "call_kernel", "--grid", "a=0.5,1", "--grid", "nu=0,1",
+     "--seeds", "1,2", "--paths-grid", "128,256", "--steps", "64"),
+    ("bias", "--t", "2", "--nu", "0.5", "--steps-grid", "16,32,64", "--paths", "256"),
+]
+
+
+def csv_text(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(list(argv)) == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_csv_is_byte_identical_to_the_recorded_text(argv):
+    assert csv_text(argv) == json.loads(CORPUS.read_text())[" ".join(argv)]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    CORPUS.write_text(json.dumps({" ".join(argv): csv_text(argv) for argv in ARGVS}, indent=1)
+                      + "\n")
