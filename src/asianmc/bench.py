@@ -151,8 +151,10 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     parallel too.
     """
     q = QUANTITIES[spec.quantity]
-    # (horizon, n_paths, n_steps, seed) -> {point: the row's arguments}; a
-    # repeated grid value, path count or seed adds no second row
+    # (seed, horizon, n_paths, n_steps) -> {point: the row's arguments}; a
+    # repeated grid value, path count or seed adds no second row.  Seed
+    # first: a seed's groups read prefixes of the same (seed, chunk) streams,
+    # which the path core draws once only for draws in one window
     groups: dict[tuple, dict] = {}
     errors: dict[tuple, SweepRow] = {}
     for pt in _points(spec):
@@ -166,10 +168,10 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
             continue
         for n in spec.n_paths:
             for seed in spec.seeds:
-                groups.setdefault((horizon, n, steps, seed), {})[pt] = args
+                groups.setdefault((seed, horizon, n, steps), {})[pt] = args
 
     todo = [(MCConfig(n_paths=n, n_steps=steps, master_seed=seed, antithetic=spec.antithetic),
-             pts) for (_, n, steps, seed), pts in sorted(groups.items())]
+             pts) for (seed, _, n, steps), pts in sorted(groups.items())]
     ensembles = _batches(((_call_keys((spec.quantity, m, args) for args in pts.values()
                                       for m in spec.methods), cfg) for cfg, pts in todo), threads)
     rows = list(errors.values())
@@ -204,6 +206,19 @@ _MEAN_INTEGRAL = Quantity({"t": NONNEGATIVE, "nu": None},
                           {"nested": (("nu",), lambda ens, t, nu: ens[t, nu].integral)})
 
 
+def check_steps_grid(steps_grid: Iterable[int]) -> list[int]:
+    """The distinct step counts of a nested grid, ascending; ValueError unless
+    there is one, each is a positive integer and each divides the finest."""
+    steps = sorted({_integer("every step count of the steps grid", s) for s in steps_grid})
+    if not steps:
+        raise ValueError("steps grid must be nonempty")
+    if any(s < 1 for s in steps):
+        raise ValueError("step counts must be positive")
+    if any(steps[-1] % s for s in steps):
+        raise ValueError("every step count must divide the finest one")
+    return steps
+
+
 def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: MCConfig,
                            *, threads: int | None = None) -> tuple[BiasRow, ...]:
     """Trapezoid bias of the mean integral versus the closed form (e^{nu t}-1)/nu.
@@ -211,11 +226,11 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     Every row restricts the same finest-grid Brownian paths to a coarser
     uniform grid, so the rows differ only by discretization, not by sampling
     noise.  The step counts must be positive integers, each dividing the
-    finest, which replaces ``cfg.n_steps``; one draw of the finest grid gives
-    every row, the grid of s steps at stride finest / s.  Each row holds its
-    grid's :class:`Estimate`, made by ``_estimate`` on that grid's batch, so
-    a mean or stderr that would leave the float range raises ValueError
-    naming t and nu.
+    finest (see :func:`check_steps_grid`), which replaces ``cfg.n_steps``;
+    one draw of the finest grid gives every row, the grid of s steps at
+    stride finest / s.  Each row holds its grid's :class:`Estimate`, made by
+    ``_estimate`` on that grid's batch, so a mean or stderr that would leave
+    the float range raises ValueError naming t and nu.
     At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
     step count (each grid sample has unit expectation), so gaps there show
     pure shared Monte Carlo noise; drifted runs show the genuine O(dt^2)
@@ -223,14 +238,8 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     threads as in :func:`~asianmc.paths.sample_ensemble`; None (the default)
     is serial.
     """
-    steps = sorted({_integer("every step count of the steps grid", s) for s in steps_grid})
-    if not steps:
-        raise ValueError("steps grid must be nonempty")
-    if any(s < 1 for s in steps):
-        raise ValueError("step counts must be positive")
+    steps = check_steps_grid(steps_grid)
     finest = steps[-1]
-    if any(finest % s for s in steps):
-        raise ValueError("every step count must divide the finest one")
     keys = [(t, nu, finest // s) for s in steps]
     batches = next(_batches([(keys, replace(cfg, n_steps=finest))], threads))
     target = stable_exp_rate(nu, t)

@@ -272,8 +272,8 @@ def _run_sweep(args) -> list[list[str]]:
 
 
 def _run_bias(args) -> list[list[str]]:
-    steps = _parse_list("--steps-grid", args.steps_grid, int)
-    cfg = MCConfig(n_paths=args.paths, n_steps=max(steps), master_seed=args.seed,
+    steps = bench.check_steps_grid(_parse_list("--steps-grid", args.steps_grid, int))
+    cfg = MCConfig(n_paths=args.paths, n_steps=steps[-1], master_seed=args.seed,
                    antithetic=args.antithetic)
     report = bench.quadrature_bias_report(args.t, args.nu, steps, cfg, threads=args.threads)
     return [_row("quadrature_bias", "nested", row.estimate, vars(args), cfg.n_paths, row.n_steps,

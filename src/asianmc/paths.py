@@ -10,15 +10,17 @@ variance dt).  ``nu = 0`` gives the driftless pair usually written (M_t, A_t).
 
 Reproducibility contract: the raw normal increments feeding path ``i`` are a
 pure function of ``(master_seed, n_steps, i)``.  Paths are generated in fixed
-chunks of :data:`PATHS_PER_CHUNK`, each chunk keyed by a counter-based
-derivation from the master seed, so serial, chunked and threaded runs agree
-bit for bit and path ``i`` never depends on how many other paths were asked
-for.  Each call may spread its chunks over worker threads (``threads``,
-serial by default): chunk c goes to worker c mod W, the calling thread
-runs worker 0's chunks itself, and each chunk writes only its own rows.
-Several small draws, such as a sweep's one-chunk groups, may be made in one
-call, so that their chunks share the workers.
-Every horizon, drift and nested grid read in one call comes from the
+chunks of :data:`PATHS_PER_CHUNK`.  Chunk c's normals are one counter-based
+(Philox) stream keyed by (master_seed, c) only, and a draw at n steps reads
+its row r as the stream's normals r n to (r + 1) n - 1.  So serial, chunked
+and threaded runs agree bit for bit, path ``i`` never depends on how many
+other paths were asked for, and draws of one seed at any step and path
+counts read prefixes of the same streams.  Several draws, such as a sweep's
+groups, may be made in one call: the call reads each (master_seed, c) stream
+once for all its draws, and spreads the streams over worker threads
+(``threads``, serial by default); the calling thread is one of the workers,
+and each chunk writes only its own rows.
+Every horizon, drift and nested grid read in one draw comes from the
 same normals, drawn once per chunk, and from one walk, their running sum
 taken once: a horizon t scales the walk by sqrt(t / n_steps), a drift
 multiplies that horizon's grid by exp(nu s), and a nested grid is the
@@ -36,7 +38,9 @@ block at a time, the block sized so that its normals and one grid fit in a
 core's L2 cache together; the walk replaces the block's normals, and each
 horizon's grid is built in place in one buffer per block.  So a chunk holds one block of
 normals and one block grid, and another block grid only for a drift that is
-neither 0 nor the last at its horizon.
+neither 0 nor the last at its horizon.  A draw that reads its rows from
+another draw's blocks copies them in pieces of half a block, so a stream
+read for several draws holds no more than that either.
 """
 
 from __future__ import annotations
@@ -187,33 +191,35 @@ class PathBatch:
 
 
 def _chunk_normals(
-    master_seed: int, chunk_index: int, n_steps: int, antithetic: bool,
-    rows: int = PATHS_PER_CHUNK,
-) -> Iterator[tuple[int, np.ndarray]]:
+    master_seed: int, chunk_index: int, n_steps: int, rows: int = PATHS_PER_CHUNK,
+) -> Iterator[np.ndarray]:
     """Raw standard normals for the first ``rows`` rows of one chunk, as row blocks.
 
-    Yields ``(lo, z)``: z holds rows lo, lo + 1, ... of the chunk, shape
-    (m, n_steps) with m at most the block size: BLOCK_ELEMENTS // n_steps
-    rounded down to even, and at least 2.  Every block is drawn into one
-    reused buffer, so z is valid only until the next block is drawn.  The
-    generator key is derived from (master_seed, chunk_index) only, and rows
-    are drawn in order from its one Philox stream, so row r is a pure
-    function of (master_seed, n_steps, chunk_index, r): the rows of any call
-    are a prefix of the full chunk, however it is split into blocks.  Blocks
-    have an even row count and start on an even row, so antithetic pairs
-    never straddle two blocks; an odd last block draws its partner row too
-    and drops it.
+    Yields the blocks in row order, each of shape (m, n_steps) with m at
+    most the block size: BLOCK_ELEMENTS // n_steps rounded down to even,
+    and at least 2.  Every block is drawn into one reused buffer, so a block
+    is valid only until the next is drawn.  The
+    generator key is derived from (master_seed, chunk_index) only, and the
+    normals are drawn in order from its one Philox stream, so the chunk's
+    stream is a pure function of (master_seed, chunk_index): row r is its
+    normals r * n_steps to (r + 1) * n_steps - 1, whatever n_steps and
+    however the rows are split into blocks.  Blocks start on an even row and
+    all but the last have an even row count, so antithetic pairs (see
+    :func:`_pair`) never straddle two blocks.
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(chunk_index),))
     gen = np.random.Generator(np.random.Philox(ss))
     block = max(2, BLOCK_ELEMENTS // n_steps & ~1)
-    buf = np.empty((min(block, rows + rows % 2), n_steps))
+    buf = np.empty((min(block, rows), n_steps))
     for lo in range(0, rows, block):
-        m = min(block, rows - lo)
-        z = gen.standard_normal(out=buf[:m + (m % 2 if antithetic else 0)])
-        if antithetic:
-            z[1::2] = -z[0::2]
-        yield lo, z[:m]
+        yield gen.standard_normal(out=buf[:min(block, rows - lo)])
+
+
+def _pair(z: np.ndarray) -> None:
+    """Antithetic pairing of a block that starts on an even row, in place: row
+    2k + 1 becomes the negation of row 2k, and an odd last row keeps its own
+    normals."""
+    np.negative(z[:len(z) - 1:2], out=z[1::2])
 
 
 def _functionals_from_normals(
@@ -262,6 +268,62 @@ def _functionals_from_normals(
     return out
 
 
+class _StreamRows:
+    """One draw's rows of one chunk, from the chunk's (master_seed, chunk)
+    stream.
+
+    The draw that draws the stream evaluates each of its row blocks as it
+    is drawn (``evaluate``).  Row r of any other draw is the stream's
+    normals r * n_steps to (r + 1) * n_steps - 1, so a raw block of the
+    drawing draw holds such rows whole or in part: ``take`` evaluates the
+    rows that each block completes, an even number of them until the last,
+    so that antithetic pairs stay together; the rest, less than two rows, is
+    carried into the next block.
+    """
+
+    def __init__(self, keys, cfg: MCConfig, out: dict, c: int) -> None:
+        self.keys, self.cfg, self.out = keys, cfg, out
+        self.first = c * PATHS_PER_CHUNK
+        self.rows = min(PATHS_PER_CHUNK, cfg.n_paths - self.first)
+        self.done = 0
+        self.carry = np.empty(0)
+
+    def take(self, raw: np.ndarray) -> None:
+        """Evaluate the rows that the next stream block ``raw`` (flat) completes.
+
+        The rows are copied, in pieces of half a block's normals, into one
+        scratch buffer that is freed on return, and ``raw`` is left as it
+        was: the drawing block, a piece and the piece's grid take no more
+        memory than a block and its grid.
+        """
+        n = self.cfg.n_steps
+        left = (self.rows - self.done) * n - len(self.carry)
+        new = raw[:left]
+        r = (len(self.carry) + len(new)) // n
+        if len(new) < left:  # more rows follow
+            r &= ~1
+        piece = min(r, max(2, BLOCK_ELEMENTS // 2 // n & ~1))
+        scratch, at = np.empty(piece * n), 0
+        while r:
+            m = min(r, piece)
+            cut = at + m * n - len(self.carry)
+            z = np.concatenate((self.carry, new[at:cut]), out=scratch[:m * n])
+            self.carry, at, r = self.carry[:0], cut, r - m
+            self.evaluate(z.reshape(m, n))
+        self.carry = np.concatenate((self.carry, new[at:]))
+
+    def evaluate(self, z: np.ndarray) -> None:
+        """Write every key's values of the draw's next rows, from their raw
+        normals z, which are consumed."""
+        if self.cfg.antithetic:
+            _pair(z)
+        at = slice(self.first + self.done, self.first + self.done + len(z))
+        for key, (tv, iv) in _functionals_from_normals(z, self.keys).items():
+            self.out[key][0][at] = tv
+            self.out[key][1][at] = iv
+        self.done += len(z)
+
+
 def _simulate_all(
     draws: Iterable[tuple[Iterable[tuple[float, float, int]], MCConfig]],
     threads: int | None = None,
@@ -270,60 +332,68 @@ def _simulate_all(
     of cfg.n_paths paths at each of its (t, nu, k) keys.  Every key is
     checked: a negative horizon or a non-finite drift raises ValueError.
 
-    The one chunk loop: each chunk's normals are drawn once, one row block at
-    a time (see :func:`_chunk_normals`), every key is read from each block
-    (see :func:`_functionals_from_normals`) and its rows are written into the
-    results before the next block is drawn.  The last chunk draws only the
-    rows it needs, and a draw with no keys draws nothing.  Consecutive draws
-    are taken together until their chunks number at least
-    :data:`WINDOW_CHUNKS_PER_WORKER` per worker, and the (draw, chunk) items
-    of such a window are spread over W = min(threads, items) workers in
-    stripes (``threads`` None or 1: serial): worker w evaluates items w,
+    The one chunk loop.  Chunk c's normals are one Philox stream that
+    depends on (master_seed, c) only (see :func:`_chunk_normals`), and a
+    draw at n steps reads its rows as consecutive n-normal segments of it.
+    Consecutive draws are taken together until their chunks number at least
+    :data:`WINDOW_CHUNKS_PER_WORKER` per worker, and a window reads each
+    (master_seed, c) stream once for all its draws: the draw that needs the
+    most normals draws the stream, one row block at a time, and evaluates
+    its rows in place; every other draw of that stream first copies the
+    rows each raw block completes into a scratch buffer, half a block at a
+    time, and evaluates them there (see :class:`_StreamRows`).  Every key
+    is read from each block (see :func:`_functionals_from_normals`) and its
+    rows are written into the results before the next block is drawn.  The last chunk draws only
+    the rows it needs, and a draw with no keys draws nothing.  The streams
+    of a window are spread over W = min(threads, streams) workers in
+    stripes (``threads`` None or 1: serial): worker w reads streams w,
     w + W, ...  The calling thread runs stripe 0 itself and a pool of W - 1
     threads runs the others.  So the chunks of small draws, such as a
     sweep's one-chunk groups, fill the workers together, and one window's
     results are all that is held at a time.  Each chunk writes only its own
-    rows of the results, so the values do not depend on ``threads``.
+    rows of the results, so the values do not depend on ``threads``, nor on
+    which other draws share a window.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
-    def run_chunk(keys, cfg: MCConfig, out: dict, c: int) -> None:
-        first = c * PATHS_PER_CHUNK
-        rows = min(PATHS_PER_CHUNK, cfg.n_paths - first)
-        for lo, z in _chunk_normals(cfg.master_seed, c, cfg.n_steps, cfg.antithetic, rows):
-            at = slice(first + lo, first + lo + len(z))
-            for key, (tv, iv) in _functionals_from_normals(z, keys).items():
-                out[key][0][at] = tv
-                out[key][1][at] = iv
+    def run_stream(seed: int, c: int, readers: list[_StreamRows]) -> None:
+        *others, leader = sorted(readers, key=lambda rows: rows.rows * rows.cfg.n_steps)
+        for z in _chunk_normals(seed, c, leader.cfg.n_steps, leader.rows):
+            for rows in others:
+                rows.take(z.reshape(-1))
+            leader.evaluate(z)
 
     def run_stripe(stripe: list) -> None:
-        for item in stripe:
-            run_chunk(*item)  # its return frees the chunk's block buffer before the next draw
+        for (seed, c), readers in stripe:
+            run_stream(seed, c, readers)  # its return frees the stream's buffers before the next
 
-    def run_window(items: list) -> None:
-        workers = max(1, min(threads or 1, len(items)))
+    def run_window(streams: list) -> None:
+        workers = max(1, min(threads or 1, len(streams)))
         if workers == 1:
-            run_stripe(items)
+            run_stripe(streams)
         else:
             with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-                others = pool.map(run_stripe, (items[w::workers] for w in range(1, workers)))
-                run_stripe(items[::workers])
+                others = pool.map(run_stripe, (streams[w::workers] for w in range(1, workers)))
+                run_stripe(streams[::workers])
                 list(others)  # re-raises a worker's error
 
-    window, items = [], []
+    window, streams, items = [], {}, 0
     for keys, cfg in draws:
         keys = tuple(dict.fromkeys(keys))
         for t, nu, _ in keys:
             _check_key(t, nu)
         window.append({key: (np.empty(cfg.n_paths), np.empty(cfg.n_paths)) for key in keys})
         chunks = range((cfg.n_paths - 1) // PATHS_PER_CHUNK + 1 if keys else 0)
-        items += [(keys, cfg, window[-1], c) for c in chunks]
-        if len(items) >= WINDOW_CHUNKS_PER_WORKER * (threads or 1):
-            run_window(items)
+        for c in chunks:
+            streams.setdefault((cfg.master_seed, c), []).append(
+                _StreamRows(keys, cfg, window[-1], c))
+        items += len(chunks)
+        if items >= WINDOW_CHUNKS_PER_WORKER * (threads or 1):
+            run_window(list(streams.items()))
             yield from window
-            window, items = [], []
-    run_window(items)
+            window, streams, items = [], {}, 0
+    run_window(list(streams.items()))
     yield from window
 
 
@@ -392,6 +462,8 @@ def sample_path(t: float, nu: float, cfg: MCConfig, path_index: int) -> PathSamp
     if not 0 <= path_index < cfg.n_paths:
         raise ValueError(f"path_index {path_index} outside [0, {cfg.n_paths})")
     chunk, row = divmod(path_index, PATHS_PER_CHUNK)
-    *_, (_, z) = _chunk_normals(cfg.master_seed, chunk, cfg.n_steps, cfg.antithetic, row + 1)
+    *_, z = _chunk_normals(cfg.master_seed, chunk, cfg.n_steps, row + 1)
+    if cfg.antithetic:
+        _pair(z)
     tv, iv = _functionals_from_normals(z[-1:], ((t, nu, 1),))[t, nu, 1]
     return PathSample(float(tv[0]), float(iv[0]))

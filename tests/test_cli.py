@@ -187,14 +187,19 @@ def test_choice_the_quantity_does_not_take_exits_two(argv, option):
     (("cdf", "--a", "1", "--method", "both"), 1),
     (("greeks", "--fd-check"), 1),
     (("bias", "--steps-grid", "4,8"), 1),
+    (("sweep", "--quantity", "cdf", "--grid", "a=1", "--grid", "t=0.5,1"), 1),
+    (("sweep", "--quantity", "cdf", "--grid", "a=1", "--paths-grid", "64,32"), 1),
     (("price", "--strike", "0"), 0),
     (("sweep", "--quantity", "vega", "--grid", "strike=0"), 0),
-], ids=["argv0", "argv1", "argv2", "argv3", "price-zero-strike", "sweep-zero-strike"])
+], ids=["argv0", "argv1", "argv2", "argv3", "sweep-horizons", "sweep-paths-grid",
+        "price-zero-strike", "sweep-zero-strike"])
 def test_one_chunk_of_normals_per_command(argv, chunks, monkeypatch):
     # every point and method of one command shares one ensemble: 64 paths
     # are one chunk, so one draw of normals; greeks --fd-check reads the FD
-    # vega's two bumped horizons from that same draw.  A zero-strike option
-    # row is exact, so it draws nothing.  bias reads the grid it names
+    # vega's two bumped horizons from that same draw.  A sweep's groups at one
+    # seed, at other horizons or path counts, read prefixes of one stream,
+    # drawn once.  A zero-strike option row is exact, so it draws nothing.
+    # bias reads the grid it names
     calls = []
     draw = am.paths._chunk_normals
     monkeypatch.setattr(am.paths, "_chunk_normals",
@@ -403,6 +408,8 @@ def test_sweep_rows_and_determinism():
 @pytest.mark.parametrize("argv, option", [
     (("sweep", "--quantity", "cdf", "--grid", "nonsense"), "grid 'nonsense'"),
     (("bias", "--steps-grid", "16,x"), "--steps-grid"),
+    (("bias", "--steps-grid=-8,-4"), "step counts must be positive"),
+    (("bias", "--steps-grid", "0,0"), "step counts must be positive"),
     (("sweep", "--quantity", "cdf", "--grid", "a=1,x"), "--grid a"),
     (("sweep", "--quantity", "cdf", "--grid", "a=1", "--seeds", "1,x"), "--seeds"),
     (("sweep", "--quantity", "cdf", "--grid", "a=1", "--paths-grid", "64,y"), "--paths-grid"),
@@ -410,7 +417,8 @@ def test_sweep_rows_and_determinism():
      "n_steps must be >= 1, got 0"),
     (("sweep", "--quantity", "cdf", "--grid", "a=1", "--grid", "a=2"),
      "--grid a is given twice"),
-], ids=["nonsense", "steps-grid", "grid", "seeds", "paths-grid", "steps", "repeated-grid"])
+], ids=["nonsense", "steps-grid", "negative-steps-grid", "zero-steps-grid", "grid", "seeds",
+        "paths-grid", "steps", "repeated-grid"])
 def test_sweep_bad_grid_is_domain_error(argv, option):
     code, out, err = invoke(*argv)
     assert code == 2 and out == ""

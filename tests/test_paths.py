@@ -167,17 +167,22 @@ def test_chunk_pool_shape(monkeypatch):
     with pytest.raises(ValueError, match="threads"):
         next(asianmc.paths._simulate_all([([(1.0, 0.0, 1)], cfg)], 0))
     # a sweep draws its groups through the same pool: two one-chunk groups
-    # are drawn together on two workers, so the one pool of one thread is
-    # the only thread started, whatever pool would start another
+    # at two seeds are two streams, drawn together on two workers, so the one
+    # pool of one thread is the only thread started, whatever pool would
+    # start another; two groups at one seed read one stream, on one worker
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th) or start(th))
-    spec = SweepSpec("cdf", {"a": (1.0,), "t": (0.5, 1.0)}, (64,), (1,), ("naive",), 8)
+    spec = SweepSpec("cdf", {"a": (1.0,), "t": (0.5,)}, (64,), (1, 2), ("naive",), 8)
     pools.clear()
     assert len(run_sweep(spec, threads=2).rows) == 2
     assert pools == [1] and len(started) == 1
     with pytest.raises(ValueError, match="threads"):
         run_sweep(spec, threads=0)
+    spec = SweepSpec("cdf", {"a": (1.0,), "t": (0.5, 1.0)}, (64,), (1,), ("naive",), 8)
+    pools.clear()
+    assert len(run_sweep(spec, threads=2).rows) == 2
+    assert pools == [] and len(started) == 1
 
 
 def test_ensemble_shares_increments_across_drifts():
@@ -421,3 +426,98 @@ def test_streamed_chunk_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# one read of each (seed, chunk) stream per window
+# ---------------------------------------------------------------------------
+
+SHARED_STEPS = (2048, 1536, 1024, 1000, 512, 257, 8, 7, 1)
+SHARED_PATHS = (1, 300, 1024, 1501, 2500)
+
+
+def _shared_window(antithetic, shift, seeds=(3,)):
+    """A window whose draws share their streams: every step count once per
+    seed, the path counts rotated by ``shift``; antithetic "mixed" pairs
+    every other draw.  Each draw reads drifts 0 and 1 and, with more than
+    one step, the stride of its whole grid."""
+    draws = []
+    for seed in seeds:
+        for i, n_steps in enumerate(SHARED_STEPS):
+            n_paths = SHARED_PATHS[(i + shift) % len(SHARED_PATHS)]
+            anti = bool(i % 2) if antithetic == "mixed" else antithetic
+            keys = [(0.7, 0.0, 1), (0.7, 1.0, 1)] + [(0.7, 0.0, n_steps)] * (n_steps > 1)
+            draws.append((keys, MCConfig(n_paths, n_steps, seed, anti)))
+    return draws
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("antithetic, shift, seeds", [
+    (False, 0, (3,)), (True, 1, (3,)), ("mixed", 2, (3, 4)), (True, 3, (4,)), (False, 4, (3, 4))])
+def test_draws_sharing_a_stream_equal_single_draws(antithetic, shift, seeds, threads):
+    # followers copy their rows out of the leader's raw blocks, carrying
+    # partial rows across block ends (1000 and 257 steps do not divide a
+    # block): every key equals a draw made alone, bit for bit
+    draws = _shared_window(antithetic, shift, seeds)
+    for (keys, cfg), got in zip(draws, asianmc.paths._simulate_all(draws, threads)):
+        alone = next(asianmc.paths._simulate_all([(keys, cfg)]))
+        for key in keys:
+            np.testing.assert_array_equal(got[key][0], alone[key][0], err_msg=f"{cfg} {key}")
+            np.testing.assert_array_equal(got[key][1], alone[key][1], err_msg=f"{cfg} {key}")
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_each_stream_is_drawn_once_per_window(threads, monkeypatch):
+    # two seeds, draws of up to three chunks: one _chunk_normals call per
+    # (seed, chunk), drawing the rows of the draw that needs the most normals
+    calls = []
+    draw = asianmc.paths._chunk_normals
+    monkeypatch.setattr(asianmc.paths, "_chunk_normals",
+                        lambda *a, **k: calls.append(a) or draw(*a, **k))
+    draws = [([(1.0, 0.0, 1)], MCConfig(n_paths, n_steps, seed))
+             for seed in (3, 4) for n_paths, n_steps in ((2500, 8), (1024, 16), (300, 64))]
+    list(asianmc.paths._simulate_all(draws, threads))
+    # chunk 0 of each seed: 300 x 64 = 19,200 normals lead 1024 x 16 = 16,384
+    # and 1024 x 8; chunks 1 and 2 are the 2,500-path draw's alone
+    assert sorted(calls) == [(3, 0, 64, 300), (3, 1, 8, 1024), (3, 2, 8, 452),
+                             (4, 0, 64, 300), (4, 1, 8, 1024), (4, 2, 8, 452)]
+    calls.clear()
+    list(asianmc.paths._simulate_all(draws[1:3], threads))
+    assert calls == [(3, 0, 64, 300)]
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_a_sweep_draws_each_seed_stream_once(threads, monkeypatch):
+    # a sweep's groups are drawn seed by seed, so the two horizons of a seed
+    # fall in one window and share its stream, even when the sweep's 24
+    # one-chunk groups fill more than one window
+    calls = []
+    draw = asianmc.paths._chunk_normals
+    monkeypatch.setattr(asianmc.paths, "_chunk_normals",
+                        lambda *a, **k: calls.append(a[:2]) or draw(*a, **k))
+    spec = SweepSpec("cdf", {"a": (1.0,), "t": (0.5, 1.0)}, (64,), tuple(range(1, 13)),
+                     ("naive",), 8)
+    assert len(run_sweep(spec, threads).rows) == 24
+    assert sorted(calls) == [(seed, 0) for seed in range(1, 13)]
+
+
+def test_followers_share_one_scratch_block():
+    # a leader and eight followers of one stream: the followers copy their
+    # rows through one scratch buffer, half a block at a time, freed before
+    # the leader evaluates its block.  So the window needs about two row
+    # blocks beyond its outputs, as a single draw does (the block and its
+    # grid), not a block per follower
+    block_bytes = asianmc.paths.BLOCK_ELEMENTS * 8
+    keys = [(1.0, 0.0, 1)]
+    draws = [(keys, MCConfig(1024, n_steps, 42))
+             for n_steps in (1024, 1000, 768, 512, 513, 257, 100, 9, 1)]
+    outputs = sum(2 * cfg.n_paths * 8 for _, cfg in draws)
+    list(asianmc.paths._simulate_all(draws[:1]))  # numpy's one-time set-up is not the draw's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        list(asianmc.paths._simulate_all(draws))
+        peak = tracemalloc.get_traced_memory()[1] - before - outputs
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"

@@ -1,0 +1,125 @@
+"""Interleaved A/B timing of two revisions of asianmc on one benchmark workload.
+
+    python3 tools/ab.py BASE CHANGE --workload sweep-bias --seed 11 --cycles 30
+
+Run from the root of a checkout.  BASE and CHANGE are git revisions, or
+``.`` for the working tree.  Each side's ``src/asianmc`` is copied into a
+temporary directory under a package name of its own (``asianmc_base``,
+``asianmc_change``), so both load into one process.  The ops of the workload
+come from ``perfbench/workloads.py``, imported as it is: before each of a
+side's ops, the module's ``am`` and ``cli`` names are pointed at that side's
+package, so its CLI argvs and library calls run on that side's code, and
+its checks read that side's output.  Each cycle runs every op once on each
+side, the side that goes first alternating from cycle to cycle, after one
+warm-up pass of each side.
+
+Two processes of the same code can differ by more than a small change does;
+within one process the two sides see the same machine state, cycle by
+cycle.  So this resolves changes that consecutive processes cannot.  It
+prints each side's median and quartiles of per-cycle wall and CPU seconds,
+and the pairs each metric was won by the change (ties counting for neither).
+It is a sizing tool: claims of a gain still come from ``perfbench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import io
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def _copy_package(rev: str, dest: Path) -> None:
+    """``src/asianmc`` of git revision ``rev`` (``.``: the working tree) as ``dest``."""
+    if rev == ".":
+        shutil.copytree(ROOT / "src" / "asianmc", dest,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return
+    archive = subprocess.run(["git", "archive", rev, "src/asianmc"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest.parent / "_extract", filter="data")
+    (dest.parent / "_extract" / "src" / "asianmc").rename(dest)
+    shutil.rmtree(dest.parent / "_extract")
+
+
+def _quartiles(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="git revision of the base side, or . for the working tree")
+    parser.add_argument("change", help="git revision of the changed side, or . for the working tree")
+    parser.add_argument("--workload", required=True,
+                        choices=("greeks-fd", "dist-curve", "sweep-bias"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=30)
+    args = parser.parse_args(argv)
+    if args.cycles < 1:
+        parser.error("--cycles must be >= 1")
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        packages = {}
+        for side, rev in zip(SIDES, (args.base, args.change)):
+            _copy_package(rev, Path(tmp) / f"asianmc_{side}")
+            pkg = importlib.import_module(f"asianmc_{side}")
+            packages[side] = (pkg, importlib.import_module(f"asianmc_{side}.cli"))
+
+        def run_ops(side: str, seed: int, tiny: bool = False) -> tuple[float, float, int]:
+            """Wall and CPU seconds of one pass over the workload's ops, and
+            the number of ops whose check failed."""
+            workloads.am, workloads.cli = packages[side]
+            ops = workloads.WORKLOADS[args.workload](seed, tiny=tiny)
+            wall = cpu = 0.0
+            failed = 0
+            for op in ops:
+                w0, c0 = time.perf_counter(), time.process_time()
+                out = op.call()
+                wall += time.perf_counter() - w0
+                cpu += time.process_time() - c0
+                failed += bool(op.check(out))
+            return wall, cpu, failed
+
+        for side in SIDES:
+            run_ops(side, 0, tiny=True)
+        runs = {side: {"wall_s": [], "cpu_s": [], "failed": 0} for side in SIDES}
+        for cycle in range(args.cycles):
+            for side in SIDES if cycle % 2 == 0 else SIDES[::-1]:
+                wall, cpu, failed = run_ops(side, args.seed)
+                runs[side]["wall_s"].append(wall)
+                runs[side]["cpu_s"].append(cpu)
+                runs[side]["failed"] += failed
+
+    print(f"{args.workload}, seed {args.seed}, {args.cycles} cycles: "
+          f"base {args.base}, change {args.change}")
+    for metric in ("wall_s", "cpu_s"):
+        base, change = runs["base"][metric], runs["change"][metric]
+        wins = sum(c < b for b, c in zip(base, change))
+        ties = sum(c == b for b, c in zip(base, change))
+        b, c = _quartiles(base), _quartiles(change)
+        print(f"  {metric}: base {b['median']:.4f} [{b['q1']:.4f}, {b['q3']:.4f}]  "
+              f"change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]  "
+              f"({c['median'] / b['median'] - 1:+.1%}); change won {wins}/{args.cycles} "
+              f"pairs, {ties} ties")
+    print(f"  failed ops: base {runs['base']['failed']}, change {runs['change']['failed']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
