@@ -1,13 +1,16 @@
-"""Parameter sweeps and convergence/bias harnesses.
+"""Parameter sweeps and convergence/bias harnesses, both returning sweep rows.
 
 ``run_sweep`` evaluates one quantity over a cartesian grid of parameters,
 path counts, seeds and methods, capturing per-row errors instead of aborting,
 and returns rows in a deterministic lexicographic order so reruns are
-bit-identical.  ``quadrature_bias_report`` isolates the time-discretization
-effect of the trapezoid integral by evaluating nested grids on the same
-Brownian paths: ``paths._batches`` draws the finest grid once and returns a
-batch per step count, read at its stride, and each grid's mean integral is a
-row estimated by ``_estimate``, like every other estimate.
+bit-identical.  Its cells at one (seed, n_paths, n_steps) read one draw,
+whatever their horizons.  ``quadrature_bias_report`` isolates the
+time-discretization effect of the trapezoid integral by evaluating nested
+grids on the same Brownian paths: ``paths._batches`` draws the finest grid
+once and returns a batch per step count, read at its stride, and each grid's
+mean integral is a :class:`SweepRow` of the private ``_MEAN_INTEGRAL`` row,
+estimated by ``_estimate`` like every other estimate, its distance from the
+closed form a ``gap=`` flag.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import greeks  # noqa: F401 -- adds the option rows to QUANTITIES
-from .estimators import (QUANTITIES, Estimate, Quantity, _call_keys, _estimate, _wrap,
-                         stable_exp_rate)
+from .estimators import (IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _call_keys, _estimate,
+                         _wrap, stable_exp_rate)
 from .paths import NONNEGATIVE, MCConfig, _batches, _integer, default_steps
 
 
@@ -96,21 +99,17 @@ class SweepResult:
             out.append(row)
         return out
 
-    def stderr_win_fraction(self, n_paths: int, better: str = "identity",
-                            than: str = "naive") -> float:
-        """Fraction of (point, seed) pairs where ``better`` has smaller stderr."""
-        wins = total = 0
-        by_key: dict[tuple, dict[str, Estimate]] = {}
-        for row in self.rows:
-            if row.n_paths == n_paths and row.estimate is not None:
-                by_key.setdefault((row.point, row.seed), {})[row.method] = row.estimate
-        for pair in by_key.values():
-            if better in pair and than in pair:
-                total += 1
-                wins += pair[better].stderr < pair[than].stderr
-        if total == 0:
+    def stderr_win_fraction(self, n_paths: int) -> float:
+        """Fraction of (point, seed) pairs at ``n_paths`` where identity has a
+        smaller stderr than naive."""
+        stderrs: dict[tuple, dict[str, float]] = {}
+        for row in self.select(n_paths=n_paths):
+            if row.estimate is not None:
+                stderrs.setdefault((row.point, row.seed), {})[row.method] = row.estimate.stderr
+        wins = [s[IDENTITY] < s[NAIVE] for s in stderrs.values() if IDENTITY in s and NAIVE in s]
+        if not wins:
             raise ValueError("no comparable row pairs at that path count")
-        return wins / total
+        return sum(wins) / len(wins)
 
     def seed_mean(self, method: str, n_paths: int, **point_values: float) -> tuple[float, float]:
         """Across-seed mean and standard error of the estimates at one cell."""
@@ -144,17 +143,18 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
 
     Rows that raise are recorded with their error message so one bad cell
     (for example a tail-underflow region) cannot abort a whole sweep.
-    Work is grouped by shared path ensemble and the groups are evaluated in
-    turn.  ``threads`` (None, the default, is serial) spreads the groups'
-    draws over worker threads: consecutive groups are drawn together until
-    their chunks fill the workers, so groups of one chunk are drawn in
-    parallel too.
+    Work is grouped by (seed, n_paths, n_steps): each group is one draw,
+    which carries every (horizon, drift) key its cells read, and the groups
+    are evaluated in turn.  ``threads`` (None, the default, is serial)
+    spreads the groups' draws over worker threads: consecutive groups are
+    drawn together until their chunks fill the workers, so groups of one
+    chunk are drawn in parallel too.
     """
     q = QUANTITIES[spec.quantity]
-    # (seed, horizon, n_paths, n_steps) -> {point: the row's arguments}; a
-    # repeated grid value, path count or seed adds no second row.  Seed
-    # first: a seed's groups read prefixes of the same (seed, chunk) streams,
-    # which the path core draws once only for draws in one window
+    # (seed, n_paths, n_steps) -> {point: the row's arguments}; a repeated
+    # grid value, path count or seed adds no second row.  Seed first: a
+    # seed's groups read prefixes of the same (seed, chunk) streams, which
+    # the path core draws once only for draws in one window
     groups: dict[tuple, dict] = {}
     errors: dict[tuple, SweepRow] = {}
     for pt in _points(spec):
@@ -168,10 +168,10 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
             continue
         for n in spec.n_paths:
             for seed in spec.seeds:
-                groups.setdefault((seed, horizon, n, steps), {})[pt] = args
+                groups.setdefault((seed, n, steps), {})[pt] = args
 
     todo = [(MCConfig(n_paths=n, n_steps=steps, master_seed=seed, antithetic=spec.antithetic),
-             pts) for (seed, _, n, steps), pts in sorted(groups.items())]
+             pts) for (seed, n, steps), pts in sorted(groups.items())]
     ensembles = _batches(((_call_keys((spec.quantity, m, args) for args in pts.values()
                                       for m in spec.methods), cfg) for cfg, pts in todo), threads)
     rows = list(errors.values())
@@ -190,20 +190,18 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class BiasRow:
-    """The mean integral on one grid: its :class:`Estimate` and the distance
-    of its mean from the closed form."""
-
-    n_steps: int
-    estimate: Estimate
-    closed_form_gap: float
+def _mean_integral(ens, t: float, nu: float):
+    """The integrals of the grid's batch, flagged with their mean's distance
+    ``gap=`` from the closed form (e^{nu t} - 1)/nu; the mean is formed as
+    ``_wrap`` forms it."""
+    values = ens[t, nu].integral
+    gap = abs(float(values.sum() / len(values)) - stable_exp_rate(nu, t))
+    return values, (f"gap={gap:.17g}",)
 
 
 # the mean integral on one grid, a private row whose one method reads the
 # grid's batch as given
-_MEAN_INTEGRAL = Quantity({"t": NONNEGATIVE, "nu": None},
-                          {"nested": (("nu",), lambda ens, t, nu: ens[t, nu].integral)})
+_MEAN_INTEGRAL = Quantity({"t": NONNEGATIVE, "nu": None}, {"nested": (("nu",), _mean_integral)})
 
 
 def check_steps_grid(steps_grid: Iterable[int]) -> list[int]:
@@ -220,7 +218,7 @@ def check_steps_grid(steps_grid: Iterable[int]) -> list[int]:
 
 
 def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: MCConfig,
-                           *, threads: int | None = None) -> tuple[BiasRow, ...]:
+                           *, threads: int | None = None) -> tuple[SweepRow, ...]:
     """Trapezoid bias of the mean integral versus the closed form (e^{nu t}-1)/nu.
 
     Every row restricts the same finest-grid Brownian paths to a coarser
@@ -228,9 +226,12 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     noise.  The step counts must be positive integers, each dividing the
     finest (see :func:`check_steps_grid`), which replaces ``cfg.n_steps``;
     one draw of the finest grid gives every row, the grid of s steps at
-    stride finest / s.  Each row holds its grid's :class:`Estimate`, made by
-    ``_estimate`` on that grid's batch, so a mean or stderr that would leave
-    the float range raises ValueError naming t and nu.
+    stride finest / s.  Each row is a :class:`SweepRow` at point (t, nu),
+    with its grid's step count, method ``nested`` and ``cfg``'s seed; its
+    estimate is made by ``_estimate`` on that grid's batch and carries the
+    gap |mean - (e^{nu t}-1)/nu| as its one flag, ``gap=`` to 17 digits.  So
+    a mean, stderr or gap that would leave the float range raises ValueError
+    naming t and nu.
     At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
     step count (each grid sample has unit expectation), so gaps there show
     pure shared Monte Carlo noise; drifted runs show the genuine O(dt^2)
@@ -242,7 +243,7 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     finest = steps[-1]
     keys = [(t, nu, finest // s) for s in steps]
     batches = next(_batches([(keys, replace(cfg, n_steps=finest))], threads))
-    target = stable_exp_rate(nu, t)
-    ests = [_estimate(_MEAN_INTEGRAL, b.cfg, "nested", {nu: b}, t=t, nu=nu) for b in batches]
-    return tuple(BiasRow(b.cfg.n_steps, est, abs(est.mean - target))
-                 for b, est in zip(batches, ests))
+    return tuple(SweepRow((("t", t), ("nu", nu)), cfg.n_paths, b.cfg.n_steps, "nested",
+                          cfg.master_seed, _estimate(_MEAN_INTEGRAL, b.cfg, "nested", {nu: b},
+                                                     t=t, nu=nu))
+                 for b in batches)

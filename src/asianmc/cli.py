@@ -266,18 +266,22 @@ def _run_sweep(args) -> list[list[str]]:
         n_steps=args.steps,
         antithetic=args.antithetic,
     )
-    return [_row(args.quantity, row.method, row.estimate, dict(row.point), row.n_paths,
-                 row.n_steps, row.seed, () if row.error is None else (f"error={row.error}",))
-            for row in bench.run_sweep(spec, threads=args.threads).rows]
+    return _sweep_rows(args.quantity, bench.run_sweep(spec, threads=args.threads).rows)
 
 
 def _run_bias(args) -> list[list[str]]:
     steps = bench.check_steps_grid(_parse_list("--steps-grid", args.steps_grid, int))
-    cfg = MCConfig(n_paths=args.paths, n_steps=steps[-1], master_seed=args.seed,
-                   antithetic=args.antithetic)
-    report = bench.quadrature_bias_report(args.t, args.nu, steps, cfg, threads=args.threads)
-    return [_row("quadrature_bias", "nested", row.estimate, vars(args), cfg.n_paths, row.n_steps,
-                 cfg.master_seed, (f"gap={row.closed_form_gap:.17g}",)) for row in report]
+    cfg = MCConfig(args.paths, steps[-1], args.seed, args.antithetic)
+    return _sweep_rows("quadrature_bias",
+                       bench.quadrature_bias_report(args.t, args.nu, steps, cfg,
+                                                    threads=args.threads))
+
+
+def _sweep_rows(quantity: str, rows: Sequence[bench.SweepRow]) -> list[list[str]]:
+    """The CSV rows of sweep rows: each estimate's flags, then ``error=``
+    where a cell failed."""
+    return [_row(quantity, row.method, row.estimate, dict(row.point), row.n_paths, row.n_steps,
+                 row.seed, () if row.error is None else (f"error={row.error}",)) for row in rows]
 
 
 # price, cdf, density, joint and kernel each estimate one quantity

@@ -1,14 +1,15 @@
 """Sweep harness: ordering, determinism, error capture, bias report."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import asianmc as am
 from asianmc import MCConfig
-from asianmc.bench import SweepSpec, quadrature_bias_report, run_sweep
-from asianmc.estimators import QUANTITIES, _wrap
+from asianmc.bench import SweepRow, SweepSpec, quadrature_bias_report, run_sweep
+from asianmc.estimators import QUANTITIES, _wrap, stable_exp_rate
 
 
 def test_sweep_spec_validation():
@@ -86,7 +87,8 @@ def test_rerun_is_bit_identical_and_thread_independent(monkeypatch):
     r1 = run_sweep(spec)
     r2 = run_sweep(spec)
     r3 = run_sweep(spec, threads=4)
-    # eight one-chunk groups drawn two at a time: four windows
+    # four one-chunk groups, one per (seed, n_paths), each carrying both
+    # horizons, drawn two at a time: two windows
     monkeypatch.setattr(am.paths, "WINDOW_CHUNKS_PER_WORKER", 1)
     r4 = run_sweep(spec, threads=2)
     for a, b in ((r1, r2), (r1, r3), (r1, r4)):
@@ -176,6 +178,13 @@ def test_summary_helpers():
 # ---------------------------------------------------------------------------
 
 
+def _gap(row):
+    """The distance of a bias row's mean from the closed form, read from
+    its one flag."""
+    (flag,) = row.estimate.flags
+    return float(flag.removeprefix("gap="))
+
+
 def test_bias_report_validation():
     cfg = MCConfig(100, 1024, 1)
     with pytest.raises(ValueError, match="divide"):
@@ -190,14 +199,14 @@ def test_bias_report_validation():
 def test_bias_report_time_zero_rows_are_exact():
     cfg = MCConfig(100, 1024, 1)
     rows = quadrature_bias_report(0.0, 0.5, (16, 64), cfg)
-    assert all(r.closed_form_gap == 0.0 and r.estimate.mean == 0.0 for r in rows)
+    assert all(_gap(r) == 0.0 and r.estimate.mean == 0.0 for r in rows)
 
 
 def test_bias_gaps_shrink_for_drifted_integrand():
     # nested grids expose the O(dt^2) trapezoid bias of the drifted mean
     cfg = MCConfig(100_000, 1024, 42)
     rows = quadrature_bias_report(1.0, 1.0, (16, 64, 256, 1024), cfg)
-    gaps = [r.closed_form_gap for r in rows]
+    gaps = [_gap(r) for r in rows]
     assert all(x >= y for x, y in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 3 * rows[-1].estimate.stderr + 1e-3
 
@@ -208,17 +217,27 @@ def test_bias_gaps_tiny_for_driftless_mean():
     cfg = MCConfig(100_000, 1024, 42)
     rows = quadrature_bias_report(1.0, 0.0, (16, 64, 256, 1024), cfg)
     for row in rows:
-        assert row.closed_form_gap <= 3 * row.estimate.stderr + 1e-3
+        assert _gap(row) <= 3 * row.estimate.stderr + 1e-3
 
 
 def test_bias_rows_match_plain_batch_at_finest_grid():
-    # bit for bit: the finest row is the plain batch's wrap, and each coarser
-    # row the wrap of the path core's stride over the same finest-grid paths
-    cfg = MCConfig(5_000, 256, 9)
+    # every row is a SweepRow, and bit for bit: the finest row's mean and
+    # stderr are the plain batch's wrap, and each coarser row's the wrap of
+    # the path core's stride over the same finest-grid paths; the one flag is
+    # the gap of that mean from the closed form
     steps = (16, 64, 256)
-    rows = quadrature_bias_report(1.0, 0.5, steps, cfg)
-    assert [row.n_steps for row in rows] == list(steps)
-    assert rows[-1].estimate == _wrap(am.sample_batch(1.0, 0.5, cfg).integral, "nested")
-    grids = next(am.paths._simulate_all([([(1.0, 0.5, 256 // s) for s in steps], cfg)]))
-    for row in rows:
-        assert row.estimate == _wrap(grids[1.0, 0.5, 256 // row.n_steps][1], "nested")
+    for antithetic in (False, True):
+        cfg = MCConfig(5_001, 256, 9, antithetic)
+        rows = quadrature_bias_report(1.0, 0.5, steps, cfg)
+        assert all(isinstance(row, SweepRow) for row in rows)
+        assert [(row.point, row.n_paths, row.n_steps, row.method, row.seed, row.error)
+                for row in rows] == [((("t", 1.0), ("nu", 0.5)), 5_001, s, "nested", 9, None)
+                                     for s in steps]
+        plain = _wrap(am.sample_batch(1.0, 0.5, cfg).integral, "nested", antithetic=antithetic)
+        assert (rows[-1].estimate.mean, rows[-1].estimate.stderr) == (plain.mean, plain.stderr)
+        grids = next(am.paths._simulate_all([([(1.0, 0.5, 256 // s) for s in steps], cfg)]))
+        for row in rows:
+            est = _wrap(grids[1.0, 0.5, 256 // row.n_steps][1], "nested", antithetic=antithetic)
+            gap = abs(est.mean - stable_exp_rate(0.5, 1.0))
+            assert row.estimate == replace(est, flags=(f"gap={gap:.17g}",))
+            assert _gap(row) == gap

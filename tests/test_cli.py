@@ -155,7 +155,8 @@ def _extreme_argvs():
 @pytest.mark.parametrize("argv, name", _extreme_argvs())
 def test_every_parameter_at_extreme_magnitudes_names_itself_or_stays_finite(argv, name):
     # no numpy warning: either finite estimates and stderrs, or exit 2 with
-    # a message whose first line names the parameter
+    # a message whose first line names the parameter; through the float-range
+    # backstop, with its value
     grid = ("--steps-grid", "4,8") if argv[0] == "bias" else ("--steps", "8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -166,7 +167,10 @@ def test_every_parameter_at_extreme_magnitudes_names_itself_or_stays_finite(argv
         assert rows and all(math.isfinite(float(r[k])) for r in rows for k in ("estimate", "stderr"))
     else:
         assert code == 2 and out == ""
-        assert re.search(rf"\b{name}\b", err.splitlines()[0]), err
+        first = err.splitlines()[0]
+        assert re.search(rf"\b{name}\b", first), err
+        if "leaves the float range" in first:
+            assert f"{name}={float(argv[-1])!r}" in first, err
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -196,10 +200,10 @@ def test_choice_the_quantity_does_not_take_exits_two(argv, option):
 def test_one_chunk_of_normals_per_command(argv, chunks, monkeypatch):
     # every point and method of one command shares one ensemble: 64 paths
     # are one chunk, so one draw of normals; greeks --fd-check reads the FD
-    # vega's two bumped horizons from that same draw.  A sweep's groups at one
-    # seed, at other horizons or path counts, read prefixes of one stream,
-    # drawn once.  A zero-strike option row is exact, so it draws nothing.
-    # bias reads the grid it names
+    # vega's two bumped horizons from that same draw.  A sweep's horizons at
+    # one seed are one draw, and its groups at other path counts read
+    # prefixes of one stream, drawn once.  A zero-strike option row is
+    # exact, so it draws nothing.  bias reads the grid it names
     calls = []
     draw = am.paths._chunk_normals
     monkeypatch.setattr(am.paths, "_chunk_normals",

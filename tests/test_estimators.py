@@ -20,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from grid_chain import grid_chain_cdf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +179,35 @@ def test_stable_exp_rate():
     assert am.stable_exp_rate(-0.5, 1.0) == pytest.approx((math.exp(-0.5) - 1) / -0.5, rel=1e-15)
     # series branch: (e^x - 1)/nu with x = nu*t tiny
     assert am.stable_exp_rate(1e-12, 2.0) == pytest.approx(2.0 * (1 + 1e-12), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# a deterministic oracle: the grid chain
+# ---------------------------------------------------------------------------
+
+# Pr[A_n <= a] at t = 1 on the 64-step grid, a = 0.5, 1, 2, by drift
+CHAIN_CDF = {0.0: (0.163191, 0.634397, 0.932443), 1.0: (0.035251, 0.301905, 0.727810)}
+
+
+def test_cdf_agrees_with_the_grid_chain():
+    # the backward chain (tests/grid_chain.py) gives the law of the 64-step
+    # trapezoid integral with no Monte Carlo: it is converged in its grid,
+    # it reproduces the recorded values, and naive and identity on one
+    # ensemble of that grid lie within 3 stderr of it
+    t, n_steps, a_values = 1.0, 64, (0.5, 1.0, 2.0)
+    cfg = MCConfig(400_000, n_steps, 7)
+    ens = shared_ensemble(cfg, [("cdf", method, {"a": a, "t": t, "nu": nu}) for nu in CHAIN_CDF
+                                for a in a_values for method in (NAIVE, IDENTITY)])
+    for nu, recorded in CHAIN_CDF.items():
+        coarse = grid_chain_cdf(a_values, t, nu, n_steps, m=8_000)
+        chain = grid_chain_cdf(a_values, t, nu, n_steps, m=16_000)
+        assert np.max(np.abs(chain - coarse)) <= 5e-5, (nu, chain, coarse)
+        assert np.max(np.abs(chain - recorded)) <= 5e-5, (nu, chain)
+        for a, exact in zip(a_values, chain):
+            for method in (NAIVE, IDENTITY):
+                est = am.cdf(a, t, nu, cfg, method, ensemble=ens)
+                z = (est.mean - exact) / est.stderr
+                assert abs(z) < 3.0, (nu, a, method, exact, est, z)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_chunk_pool_shape(monkeypatch):
     # a sweep draws its groups through the same pool: two one-chunk groups
     # at two seeds are two streams, drawn together on two workers, so the one
     # pool of one thread is the only thread started, whatever pool would
-    # start another; two groups at one seed read one stream, on one worker
+    # start another; two horizons at one seed are one draw, on one worker
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda th: started.append(th) or start(th))
@@ -488,9 +488,9 @@ def test_each_stream_is_drawn_once_per_window(threads, monkeypatch):
 
 @pytest.mark.parametrize("threads", [None, 2])
 def test_a_sweep_draws_each_seed_stream_once(threads, monkeypatch):
-    # a sweep's groups are drawn seed by seed, so the two horizons of a seed
-    # fall in one window and share its stream, even when the sweep's 24
-    # one-chunk groups fill more than one window
+    # a seed's two horizons are one draw, and a sweep's groups are drawn
+    # seed by seed, so each seed's stream is drawn once, in whichever window
+    # its group falls
     calls = []
     draw = asianmc.paths._chunk_normals
     monkeypatch.setattr(asianmc.paths, "_chunk_normals",
@@ -499,6 +499,26 @@ def test_a_sweep_draws_each_seed_stream_once(threads, monkeypatch):
                      ("naive",), 8)
     assert len(run_sweep(spec, threads).rows) == 24
     assert sorted(calls) == [(seed, 0) for seed in range(1, 13)]
+
+
+def test_a_sweep_draws_each_configuration_once(monkeypatch):
+    # the cells of one (seed, n_paths, n_steps) are one draw of the path
+    # core, carrying every horizon they read, and their rows are those of
+    # one-horizon sweeps, bit for bit
+    draws = []
+    simulate = asianmc.paths._simulate_all
+    monkeypatch.setattr(asianmc.paths, "_simulate_all",
+                        lambda batch, *a, **k: draws.extend(batch) or simulate(batch, *a, **k))
+    spec = SweepSpec("cdf", {"a": (0.5, 1.0), "t": (0.5, 1.0)}, (300,), (5,),
+                     ("naive", "identity"), 8)
+    rows = run_sweep(spec).rows
+    assert draws == [(((0.5, 0.0, 1), (1.0, 0.0, 1)), MCConfig(300, 8, 5))]
+    draws.clear()
+    alone = [row for t in (0.5, 1.0)
+             for row in run_sweep(SweepSpec("cdf", {"a": (0.5, 1.0), "t": (t,)}, (300,), (5,),
+                                            ("naive", "identity"), 8)).rows]
+    assert len(draws) == 2
+    assert len(rows) == 8 and sorted(alone, key=lambda r: r.sort_key) == list(rows)
 
 
 def test_followers_share_one_scratch_block():
