@@ -1,21 +1,21 @@
-"""Parameter sweeps and convergence/bias harnesses, both returning sweep rows.
+"""Parameter sweeps and the quadrature-bias report, which is one of them.
 
 ``run_sweep`` evaluates one quantity over a cartesian grid of parameters,
-path counts, seeds and methods, capturing per-row errors instead of aborting,
-and returns rows in a deterministic lexicographic order so reruns are
-bit-identical.  Its cells at one (seed, n_paths, n_steps) read one draw,
-whatever their horizons.  ``quadrature_bias_report`` isolates the
-time-discretization effect of the trapezoid integral by evaluating nested
-grids on the same Brownian paths: ``paths._batches`` draws the finest grid
-once and returns a batch per step count, read at its stride, and each grid's
-mean integral is a :class:`SweepRow` of the private ``_MEAN_INTEGRAL`` row,
-estimated by ``_estimate`` like every other estimate, its distance from the
-closed form a ``gap=`` flag.
+path counts, seeds, methods and nested step counts, capturing per-row errors
+instead of aborting, and returns rows in a deterministic lexicographic order
+so reruns are bit-identical.  Its cells at one (seed, n_paths) and one set of
+step counts read one draw at the finest count, whatever their horizons: the
+grid of s steps is that draw read at stride finest / s (``paths._batches``),
+so a cell's rows at several step counts share their paths and differ only by
+discretization.  ``quadrature_bias_report`` is such a sweep of the private
+``_MEAN_INTEGRAL`` row at one (t, nu): each grid's mean integral is a
+:class:`SweepRow`, its distance from the closed form a ``gap=`` flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,20 +28,25 @@ from .paths import NONNEGATIVE, MCConfig, _batches, _integer, default_steps
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: one quantity, parameter grids, path counts, seeds, methods."""
+    """What to sweep: one quantity, parameter grids, path counts, seeds, methods.
+
+    ``n_steps`` is one step count, several nested ones (each dividing the
+    largest; see :func:`check_steps_grid`), or None for each horizon's
+    default grid.
+    """
 
     quantity: str
     grids: Mapping[str, tuple[float, ...]]
     n_paths: tuple[int, ...]
     seeds: tuple[int, ...]
     methods: tuple[str, ...]
-    n_steps: int | None = None
+    n_steps: int | tuple[int, ...] | None = None
     antithetic: bool = False
 
     def __post_init__(self) -> None:
-        if self.quantity not in QUANTITIES:
+        if self.quantity not in _ROWS:
             raise ValueError(f"unknown sweep quantity {self.quantity!r}")
-        q = QUANTITIES[self.quantity]
+        q = _ROWS[self.quantity]
         for name, values in self.grids.items():
             if name not in q.params:
                 raise ValueError(f"{self.quantity} does not take a grid over {name!r}")
@@ -52,17 +57,17 @@ class SweepSpec:
         bad = set(self.methods) - set(q.methods)
         if bad:
             raise ValueError(f"methods {sorted(bad)} not valid for {self.quantity}")
-        if self.n_steps is not None and _integer("n_steps", self.n_steps) < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _step_counts(self.n_steps)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """One evaluated cell; ``error`` is set (and estimate None) if it raised.
 
-    ``n_steps`` is the grid the estimate was made on: the sweep's step count,
-    or on the default grid the default for the cell's horizon.  An error row
-    holds the sweep's step count, None on the default grid.
+    ``n_steps`` is the grid the estimate was made on: the sweep's step count
+    (one row per count where the sweep has several nested ones), or on the
+    default grid the default for the cell's horizon.  An error row holds its
+    step count too, but None on the default grid.
     """
 
     point: tuple[tuple[str, float], ...]
@@ -122,70 +127,79 @@ class SweepResult:
         return est.mean, est.stderr
 
 
+def _step_counts(n_steps: int | tuple[int, ...] | None) -> list[int] | None:
+    """A sweep's step counts, distinct and ascending, or None on the default
+    grid; ValueError unless one count is a positive integer, or several
+    follow :func:`check_steps_grid`'s rule."""
+    if isinstance(n_steps, tuple):
+        return check_steps_grid(n_steps)
+    if n_steps is not None and _integer("n_steps", n_steps) < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    return None if n_steps is None else [n_steps]
+
+
 def _points(spec: SweepSpec) -> list[tuple[tuple[str, float], ...]]:
-    q = QUANTITIES[spec.quantity]
-    axes: list[tuple[float, ...]] = []
+    """The sweep's cells: every combination of the row's parameter values,
+    each from its grid or its default."""
+    q = _ROWS[spec.quantity]
     for name in q.params:
-        if name in spec.grids:
-            axes.append(tuple(float(v) for v in spec.grids[name]))
-        elif name in q.defaults:
-            axes.append((float(q.defaults[name]),))
-        else:
+        if name not in spec.grids and name not in q.defaults:
             raise ValueError(f"{spec.quantity} requires a grid for {name!r}")
-    points = [()]
-    for name, values in zip(q.params, axes):
-        points = [pt + ((name, v),) for pt in points for v in values]
-    return points
+    return list(product(*([(name, float(v)) for v in spec.grids.get(name, (q.defaults.get(name),))]
+                          for name in q.params)))
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
-    """Evaluate the sweep; rows come back sorted by (point, n_paths, method, seed).
+    """Evaluate the sweep; rows come back sorted by (point, n_paths, method,
+    seed), a cell's rows at nested step counts in ascending step order.
 
     Rows that raise are recorded with their error message so one bad cell
     (for example a tail-underflow region) cannot abort a whole sweep.
-    Work is grouped by (seed, n_paths, n_steps): each group is one draw,
-    which carries every (horizon, drift) key its cells read, and the groups
-    are evaluated in turn.  ``threads`` (None, the default, is serial)
+    Work is grouped by (seed, n_paths, step counts): each group is one draw
+    at the finest count, which carries every (horizon, drift) key its cells
+    read at stride finest / s for each count s, and each cell is estimated
+    on each stride's batches.  ``threads`` (None, the default, is serial)
     spreads the groups' draws over worker threads: consecutive groups are
     drawn together until their chunks fill the workers, so groups of one
     chunk are drawn in parallel too.
     """
-    q = QUANTITIES[spec.quantity]
-    # (seed, n_paths, n_steps) -> {point: the row's arguments}; a repeated
-    # grid value, path count or seed adds no second row.  Seed first: a
-    # seed's groups read prefixes of the same (seed, chunk) streams, which
-    # the path core draws once only for draws in one window
+    q = _ROWS[spec.quantity]
+    grid = _step_counts(spec.n_steps)
+    # (seed, n_paths, step counts) -> {point: the row's arguments}; a
+    # repeated grid value, path count or seed adds no second row.  Seed
+    # first: a seed's groups read prefixes of the same (seed, chunk) streams,
+    # which the path core draws once only for draws in one window
     groups: dict[tuple, dict] = {}
     errors: dict[tuple, SweepRow] = {}
     for pt in _points(spec):
         try:  # an invalid option cell or a non-finite default-grid horizon
             args = q.arguments(dict(pt))
-            horizon = q.horizon(args)
-            steps = spec.n_steps or default_steps(horizon)
+            steps = tuple(grid or (default_steps(q.horizon(args)),))
         except ValueError as exc:
-            errors.update(((pt, n, m, seed), SweepRow(pt, n, spec.n_steps, m, seed, None, str(exc)))
-                          for n in spec.n_paths for seed in spec.seeds for m in spec.methods)
+            errors.update(((pt, n, m, seed, s), SweepRow(pt, n, s, m, seed, None, str(exc)))
+                          for n in spec.n_paths for seed in spec.seeds for m in spec.methods
+                          for s in grid or (None,))
             continue
-        for n in spec.n_paths:
-            for seed in spec.seeds:
-                groups.setdefault((seed, n, steps), {})[pt] = args
+        for n, seed in product(spec.n_paths, spec.seeds):
+            groups.setdefault((seed, n, steps), {})[pt] = args
 
-    todo = [(MCConfig(n_paths=n, n_steps=steps, master_seed=seed, antithetic=spec.antithetic),
-             pts) for (seed, n, steps), pts in sorted(groups.items())]
-    ensembles = _batches(((_call_keys((spec.quantity, m, args) for args in pts.values()
-                                      for m in spec.methods), cfg) for cfg, pts in todo), threads)
+    todo = sorted(groups.items())
+    ensembles = _batches(((_call_keys(((q, m, args) for args in pts.values() for m in spec.methods),
+                                      [steps[-1] // s for s in steps]),
+                           MCConfig(n, steps[-1], seed, spec.antithetic))
+                          for (seed, n, steps), pts in todo), threads)
     rows = list(errors.values())
-    for (cfg, pts), batches in zip(todo, ensembles):
-        ens = {(b.t, b.nu): b for b in batches}
-        for pt, args in pts.items():
-            for method in spec.methods:
-                try:
-                    est = _estimate(q, cfg, method, ens, **args)
-                    rows.append(SweepRow(pt, cfg.n_paths, cfg.n_steps, method, cfg.master_seed,
-                                         est))
-                except Exception as exc:
-                    rows.append(SweepRow(pt, cfg.n_paths, spec.n_steps, method, cfg.master_seed,
-                                         None, str(exc)))
+    for ((seed, n, steps), pts), batches in zip(todo, ensembles):
+        for s in steps:
+            cfg = MCConfig(n, s, seed, spec.antithetic)
+            ens = {(b.t, b.nu): b for b in batches if b.cfg == cfg}
+            for pt, args in pts.items():
+                for method in spec.methods:
+                    try:
+                        rows.append(SweepRow(pt, n, s, method, seed,
+                                             _estimate(q, cfg, method, ens, **args)))
+                    except Exception as exc:  # on the default grid an error row holds None
+                        rows.append(SweepRow(pt, n, grid and s, method, seed, None, str(exc)))
     rows.sort(key=lambda r: r.sort_key)
     return SweepResult(spec=spec, rows=tuple(rows))
 
@@ -202,6 +216,9 @@ def _mean_integral(ens, t: float, nu: float):
 # the mean integral on one grid, a private row whose one method reads the
 # grid's batch as given
 _MEAN_INTEGRAL = Quantity({"t": NONNEGATIVE, "nu": None}, {"nested": (("nu",), _mean_integral)})
+# the rows a sweep reads: the quantity table's, complete once greeks is
+# imported, and the private row by its private name
+_ROWS = {**QUANTITIES, "_mean_integral": _MEAN_INTEGRAL}
 
 
 def check_steps_grid(steps_grid: Iterable[int]) -> list[int]:
@@ -224,13 +241,15 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     Every row restricts the same finest-grid Brownian paths to a coarser
     uniform grid, so the rows differ only by discretization, not by sampling
     noise.  The step counts must be positive integers, each dividing the
-    finest (see :func:`check_steps_grid`), which replaces ``cfg.n_steps``;
-    one draw of the finest grid gives every row, the grid of s steps at
-    stride finest / s.  Each row is a :class:`SweepRow` at point (t, nu),
-    with its grid's step count, method ``nested`` and ``cfg``'s seed; its
-    estimate is made by ``_estimate`` on that grid's batch and carries the
-    gap |mean - (e^{nu t}-1)/nu| as its one flag, ``gap=`` to 17 digits.  So
-    a mean, stderr or gap that would leave the float range raises ValueError
+    finest (see :func:`check_steps_grid`), which replaces ``cfg.n_steps``.
+    The report is :func:`run_sweep` of the private ``_MEAN_INTEGRAL`` row at
+    the one point (t, nu), over those nested step counts, with ``cfg``'s
+    path count, seed and pairing: one draw of the finest grid gives every
+    row, the grid of s steps at stride finest / s.  Each row is a
+    :class:`SweepRow` with its grid's step count and method ``nested``; its
+    estimate carries the gap |mean - (e^{nu t}-1)/nu| as its one flag,
+    ``gap=`` to 17 digits.  A row that fails is raised, not returned: so a
+    mean, stderr or gap that would leave the float range raises ValueError
     naming t and nu.
     At nu = 0 the trapezoid estimate of the mean is exactly unbiased at every
     step count (each grid sample has unit expectation), so gaps there show
@@ -239,11 +258,9 @@ def quadrature_bias_report(t: float, nu: float, steps_grid: Iterable[int], cfg: 
     threads as in :func:`~asianmc.paths.sample_ensemble`; None (the default)
     is serial.
     """
-    steps = check_steps_grid(steps_grid)
-    finest = steps[-1]
-    keys = [(t, nu, finest // s) for s in steps]
-    batches = next(_batches([(keys, replace(cfg, n_steps=finest))], threads))
-    return tuple(SweepRow((("t", t), ("nu", nu)), cfg.n_paths, b.cfg.n_steps, "nested",
-                          cfg.master_seed, _estimate(_MEAN_INTEGRAL, b.cfg, "nested", {nu: b},
-                                                     t=t, nu=nu))
-                 for b in batches)
+    rows = run_sweep(SweepSpec("_mean_integral", {"t": (t,), "nu": (nu,)}, (cfg.n_paths,),
+                               (cfg.master_seed,), ("nested",), tuple(steps_grid),
+                               cfg.antithetic), threads).rows
+    for error in filter(None, (row.error for row in rows)):
+        raise ValueError(error)
+    return rows

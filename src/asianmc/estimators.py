@@ -96,7 +96,8 @@ def _ensemble_for(
     :func:`shared_ensemble`.  A supplied batch the call reads must have been
     drawn with its cfg, and a drift the call reads at ``t`` must not be
     supplied only at other horizons; any other key the ensemble lacks is
-    drawn.
+    drawn.  A batch the call reads whose grid left the float range raises
+    ValueError naming its (t, nu) (see :class:`~asianmc.paths.PathBatch`).
     """
     have = {(b.t, b.nu): b for b in ensemble.values()} if ensemble else {}
     for b in have.values():
@@ -107,6 +108,8 @@ def _ensemble_for(
     missing = [(h, nu, 1) for h, nu in keys if (h, nu) not in have]
     if missing:
         have.update(((b.t, b.nu), b) for b in next(_batches([(missing, cfg)])))
+    for error in filter(None, (have[key]._error for key in keys)):
+        raise ValueError(error)
     return have
 
 
@@ -543,15 +546,15 @@ def _call(method: str, args: Mapping) -> str:
     return f"{method} estimate at " + ", ".join(f"{name}={value}" for name, value in args.items())
 
 
-def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, float, int]]:
-    """The sorted path-core keys (horizon, drift, 1), on the full grid, of
-    the (horizon, drift) pairs the ``(quantity, method, args)`` calls read.
-    A call whose arguments or method the quantity rejects, or that reads a
-    key the path core cannot draw (a negative horizon), adds no key; made
-    with the ensemble, it raises its own error."""
+def _call_keys(calls: Iterable[tuple[Quantity, str, Mapping]],
+               strides: Sequence[int] = (1,)) -> list[tuple[float, float, int]]:
+    """The sorted path-core keys (horizon, drift, k), at each of the
+    ``strides`` k, of the (horizon, drift) pairs the ``(row, method, args)``
+    calls read.  A call whose arguments or method the row rejects, or that
+    reads a key the path core cannot draw (a negative horizon), adds no key;
+    made with the ensemble, it raises its own error."""
     keys: set[tuple[float, float, int]] = set()
-    for quantity, method, args in calls:
-        q = QUANTITIES[quantity]
+    for q, method, args in calls:
         try:
             q.check(args)
             reads = q.keys(method, args) if method in q.methods else ()
@@ -559,7 +562,7 @@ def _call_keys(calls: Iterable[tuple[str, str, Mapping]]) -> list[tuple[float, f
                 _check_key(h, nu)
         except ValueError:
             continue
-        keys.update((h, nu, 1) for h, nu in reads)
+        keys.update((h, nu, k) for h, nu in reads for k in strides)
     return sorted(keys)
 
 
@@ -576,7 +579,8 @@ def shared_ensemble(cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
     method the quantity rejects, or that read a negative horizon, add no
     key; made with this ensemble, they raise their own error.
     """
-    return {(b.t, b.nu): b for b in next(_batches([(_call_keys(calls), cfg)], threads))}
+    keys = _call_keys((QUANTITIES[name], method, args) for name, method, args in calls)
+    return {(b.t, b.nu): b for b in next(_batches([(keys, cfg)], threads))}
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ trapezoid over every k-th point of it.  So the values at one (t, nu) are
 bit for bit those of a separate call at that (t, nu), with whatever other
 horizons, drifts or grids are read beside them; a Greek report reads its
 two drifts at T and the FD vega's two moved horizons in one call, and a
-bias report reads one (t, nu) at several strides, each a batch of its own
-step count; ``_batches`` makes every batch, at any stride.  Scaling after
+sweep over nested step counts (the bias report is one) reads each of its
+keys at several strides, each a batch of its own step count; ``_batches``
+makes every batch, at any stride.  Scaling after
 the sum, sqrt(dt) * sum(z), rounds differently from summing scaled steps,
 sum(sqrt(dt) * z): the two agree bit for bit when sqrt(dt) is a power of
 two (every default grid of a horizon t >= 1/4 with 1024 t an integer) and
@@ -168,7 +169,10 @@ class PathBatch:
 
     ``terminal[i]`` and ``integral[i]`` come from the same Brownian path;
     batches produced by :func:`sample_ensemble` for different ``nu`` share
-    the underlying increments path for path.
+    the underlying increments path for path.  A grid exp(B_s + (nu - 1/2) s)
+    can leave the float range on some path even where exp(nu t) does not;
+    its integral is then not finite, and the batch holds the message that
+    names (t, nu), which every estimate that reads the batch raises.
     """
 
     t: float
@@ -178,10 +182,14 @@ class PathBatch:
     cfg: MCConfig
     # (a, body, tail) of the last estimators.split_weight on this batch
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _error: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.terminal.flags.writeable = False
         self.integral.flags.writeable = False
+        if not np.isfinite(self.integral).all():  # once per batch, not per estimate
+            object.__setattr__(self, "_error", f"the path grid at nu = {self.nu}, t = {self.t} "
+                               "leaves the float range")
 
     def __len__(self) -> int:
         return len(self.terminal)
@@ -222,6 +230,7 @@ def _pair(z: np.ndarray) -> None:
     np.negative(z[:len(z) - 1:2], out=z[1::2])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a grid that overflows is named by its batch
 def _functionals_from_normals(
     z: np.ndarray, keys: Sequence[tuple[float, float, int]]
 ) -> dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]]:
@@ -241,7 +250,9 @@ def _functionals_from_normals(
     it afterwards; only a drift that is neither gets a copy.  So drifts {0}
     and {0, nu} need one grid of memory, {nu1, nu2} and {0, nu1, nu2} two.
     The values are those of the out-of-place expressions with the walk
-    scaled after the sum, sqrt(dt) * cumsum(z), bit for bit.
+    scaled after the sum, sqrt(dt) * cumsum(z), bit for bit.  A path whose
+    grid leaves the float range gets an infinite or NaN integral, without a
+    warning; :class:`PathBatch` names its key.
     """
     plan: dict[float, dict[float, set[int]]] = {}
     for t, nu, k in keys:
@@ -411,7 +422,7 @@ def _batches(
     so the chunks of consecutive small draws share the ``threads`` workers.
     This is the only code that turns the path core's arrays into batches:
     the ensembles of :func:`sample_ensemble`, of the estimators and of a
-    sweep, and a bias report's nested grids, all come from here.
+    sweep, at one step count or at several nested ones, all come from here.
     """
     draws = [(tuple(keys), cfg) for keys, cfg in draws]
     for (keys, cfg), grid in zip(draws, _simulate_all(draws, threads)):
@@ -442,12 +453,16 @@ def sample_ensemble(
 
     Returns
     -------
-    dict mapping each requested nu to its PathBatch.
+    dict mapping each requested nu to its PathBatch.  A drift whose grid
+    leaves the float range on some path raises ValueError naming (t, nu).
     """
     nus = tuple(dict.fromkeys(float(nu) for nu in nus))
     if not nus:
         raise ValueError("at least one drift value is required")
-    return {b.nu: b for b in next(_batches([(((t, nu, 1) for nu in nus), cfg)], threads))}
+    batches = next(_batches([(((t, nu, 1) for nu in nus), cfg)], threads))
+    for error in filter(None, (b._error for b in batches)):
+        raise ValueError(error)
+    return {b.nu: b for b in batches}
 
 
 def sample_batch(t: float, nu: float, cfg: MCConfig, threads: int | None = None) -> PathBatch:

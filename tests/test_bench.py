@@ -9,7 +9,7 @@ import pytest
 import asianmc as am
 from asianmc import MCConfig
 from asianmc.bench import SweepRow, SweepSpec, quadrature_bias_report, run_sweep
-from asianmc.estimators import QUANTITIES, _wrap, stable_exp_rate
+from asianmc.estimators import QUANTITIES, _estimate, _wrap, stable_exp_rate
 
 
 def test_sweep_spec_validation():
@@ -151,6 +151,36 @@ def test_nonfinite_grid_value_is_a_row_error():
         # an error row holds the sweep's step count, None on the default grid
         assert all(r.n_steps == n_steps for r in failed)
         assert all(r.n_steps == (n_steps or 1024) for r in ok)
+
+
+def test_nested_step_counts_read_strides_of_one_draw(monkeypatch):
+    # a sweep over nested step counts draws the finest grid once, and each
+    # cell's row at s steps is the estimate on that draw at stride 64 // s
+    draws = []
+    simulate = am.paths._simulate_all
+    monkeypatch.setattr(am.paths, "_simulate_all",
+                        lambda batch, *a, **k: draws.extend(batch) or simulate(batch, *a, **k))
+    spec = SweepSpec("cdf", {"a": (0.5, 1.0)}, (300,), (5,), ("naive", "identity"),
+                     n_steps=(16, 64))
+    rows = run_sweep(spec).rows
+    assert draws == [(((1.0, 0.0, 1), (1.0, 0.0, 4)), MCConfig(300, 64, 5))]
+    # a cell's rows come in ascending step order
+    assert [(dict(r.point)["a"], r.method, r.n_steps) for r in rows] == \
+        [(a, m, s) for a in (0.5, 1.0) for m in ("identity", "naive") for s in (16, 64)]
+    q = QUANTITIES["cdf"]
+    for s in (16, 64):
+        (batch,) = next(am.paths._batches([([(1.0, 0.0, 64 // s)], MCConfig(300, 64, 5))]))
+        assert batch.cfg == MCConfig(300, s, 5)
+        for row in (r for r in rows if r.n_steps == s):
+            assert row.error is None
+            assert row.estimate == _estimate(q, batch.cfg, row.method, {(1.0, 0.0): batch},
+                                             **dict(row.point))
+    # the finest rows are those of a one-grid sweep, bit for bit
+    assert [r for r in rows if r.n_steps == 64] == list(run_sweep(replace(spec, n_steps=64)).rows)
+    with pytest.raises(ValueError, match="divide"):
+        replace(spec, n_steps=(12, 64))
+    with pytest.raises(ValueError, match="nonempty"):
+        replace(spec, n_steps=())
 
 
 def test_greek_quantity_sweep():

@@ -152,6 +152,29 @@ def _extreme_argvs():
             yield pytest.param(argv, name, id=" ".join(argv))
 
 
+def test_a_drift_whose_grid_overflows_names_itself_in_the_cells_that_read_it():
+    # exp(709 t) is finite at t = 1, but X e^{709 s} overflows on some of
+    # the paths: every cell that reads that grid fails naming t and nu, with
+    # no numpy warning, and a cell at another drift of the same draw keeps
+    # its row
+    message = "the path grid at nu = 709.0, t = 1.0 leaves the float range"
+    size = ("--paths", "64", "--steps", "8", "--method", "naive")
+    sweep = ("sweep", "--quantity", "cdf", "--grid", "a=1", *size)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in ("cdf", "kernel"):
+            code, out, err = invoke(command, "--a", "1", "--nu", "709", *size)
+            assert code == 2 and out == "" and message in err.splitlines()[0], err
+        code, out, err = invoke(*sweep, "--grid", "nu=0,709")
+        _, alone, _ = invoke(*sweep, "--grid", "nu=0")
+    assert [str(w.message) for w in caught] == []
+    assert code == 0 and err == ""
+    rows = parse(out)
+    assert out.splitlines()[:2] == alone.splitlines()
+    assert rows[1]["nu"] == "709" and rows[1]["estimate"] == rows[1]["stderr"] == ""
+    assert rows[1]["flags"].startswith(f"error={message} (naive estimate at a=1.0, t=1.0, ")
+
+
 @pytest.mark.parametrize("argv, name", _extreme_argvs())
 def test_every_parameter_at_extreme_magnitudes_names_itself_or_stays_finite(argv, name):
     # no numpy warning: either finite estimates and stderrs, or exit 2 with
@@ -539,6 +562,21 @@ def _scopes(match):
 
 def _names(node):
     return getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+
+
+def test_one_harness_loop():
+    # the bias report is a sweep: in bench, run_sweep alone draws batches
+    # and estimates on them, in one call of each, and the bias command
+    # calls neither
+    bench = ast.parse(Path(am.bench.__file__).read_text())
+    for name in ("_batches", "_estimate"):
+        def calls(node):
+            return isinstance(node, ast.Call) and name in _names(node.func)
+
+        assert sum(map(calls, ast.walk(bench))) == 1, name
+        assert {scope for scope in _scopes(calls) if scope.startswith("bench.")} \
+            == {"bench.run_sweep"}, name
+        assert "cli._run_bias" not in _scopes(calls), name
 
 
 def test_one_route_to_the_path_core_and_to_the_wrapper():

@@ -20,7 +20,10 @@ from asianmc.cli import run
 CORPUS = Path(__file__).with_name("csv_corpus.json")
 SIZE = ("--paths", "256", "--steps", "64")
 
-# one small run of each command: at most 256 paths and 64 steps, no antithetic
+# one small run of each command, at most 256 paths and 64 steps and no
+# antithetic, then three that break that rule: a default-grid sweep over two
+# horizons (512 and 1,024 steps), an antithetic bias run at an odd path count
+# and an antithetic sweep with closed-form cells
 ARGVS = [
     ("price", *SIZE),
     ("greeks", "--fd-check", "--seed", "3", *SIZE),
@@ -33,6 +36,10 @@ ARGVS = [
     ("sweep", "--quantity", "call_kernel", "--grid", "a=0.5,1", "--grid", "nu=0,1",
      "--seeds", "1,2", "--paths-grid", "128,256", "--steps", "64"),
     ("bias", "--t", "2", "--nu", "0.5", "--steps-grid", "16,32,64", "--paths", "256"),
+    ("sweep", "--quantity", "cdf", "--grid", "a=1", "--grid", "t=0.5,1", "--paths", "256"),
+    ("bias", "--t", "1", "--nu", "1", "--steps-grid", "8,16,32", "--paths", "255", "--antithetic"),
+    ("sweep", "--quantity", "price", "--grid", "strike=0,1", "--paths", "256", "--steps", "16",
+     "--antithetic"),
 ]
 
 
