@@ -7,7 +7,10 @@ so reruns are bit-identical.  Its cells at one (seed, n_paths) and one set of
 step counts read one draw at the finest count, whatever their horizons: the
 grid of s steps is that draw read at stride finest / s (``paths._batches``),
 so a cell's rows at several step counts share their paths and differ only by
-discretization.  ``quadrature_bias_report`` is such a sweep of the private
+discretization.  The sweep only groups its cells, records the errors and
+sorts the rows: its groups are drawn and estimated by
+``estimators._estimates``, the loop that draws and estimates for the Greek
+report and the single-quantity commands too.  ``quadrature_bias_report`` is such a sweep of the private
 ``_MEAN_INTEGRAL`` row at one (t, nu): each grid's mean integral is a
 :class:`SweepRow`, its distance from the closed form a ``gap=`` flag.
 """
@@ -21,9 +24,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import greeks  # noqa: F401 -- adds the option rows to QUANTITIES
-from .estimators import (IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _call_keys, _estimate,
-                         _wrap, stable_exp_rate)
-from .paths import NONNEGATIVE, MCConfig, _batches, _integer, default_steps
+from .estimators import (IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _estimates, _wrap,
+                         stable_exp_rate)
+from .paths import NONNEGATIVE, MCConfig, _integer, default_steps
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
 
     Rows that raise are recorded with their error message so one bad cell
     (for example a tail-underflow region) cannot abort a whole sweep.
-    Work is grouped by (seed, n_paths, step counts): each group is one draw
+    Work is grouped by (seed, n_paths, step counts), and the groups are
+    drawn and estimated by ``estimators._estimates``: each group is one draw
     at the finest count, which carries every (horizon, drift) key its cells
     read at stride finest / s for each count s, and each cell is estimated
     on each stride's batches.  ``threads`` (None, the default, is serial)
@@ -184,22 +188,18 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
             groups.setdefault((seed, n, steps), {})[pt] = args
 
     todo = sorted(groups.items())
-    ensembles = _batches(((_call_keys(((q, m, args) for args in pts.values() for m in spec.methods),
-                                      [steps[-1] // s for s in steps]),
-                           MCConfig(n, steps[-1], seed, spec.antithetic))
-                          for (seed, n, steps), pts in todo), threads)
+    # the cells in the order _estimates gives their estimates
+    cells = [(pt, n, s, m, seed) for (seed, n, steps), pts in todo for s in steps
+             for pt in pts for m in spec.methods]
+    estimates = _estimates([(MCConfig(n, steps[-1], seed, spec.antithetic), steps,
+                             [(q, m, args) for args in pts.values() for m in spec.methods])
+                            for (seed, n, steps), pts in todo], threads)
     rows = list(errors.values())
-    for ((seed, n, steps), pts), batches in zip(todo, ensembles):
-        for s in steps:
-            cfg = MCConfig(n, s, seed, spec.antithetic)
-            ens = {(b.t, b.nu): b for b in batches if b.cfg == cfg}
-            for pt, args in pts.items():
-                for method in spec.methods:
-                    try:
-                        rows.append(SweepRow(pt, n, s, method, seed,
-                                             _estimate(q, cfg, method, ens, **args)))
-                    except Exception as exc:  # on the default grid an error row holds None
-                        rows.append(SweepRow(pt, n, grid and s, method, seed, None, str(exc)))
+    for (pt, n, s, m, seed), estimate in zip(cells, estimates):
+        try:
+            rows.append(SweepRow(pt, n, s, m, seed, estimate()))
+        except Exception as exc:  # on the default grid an error row holds None
+            rows.append(SweepRow(pt, n, grid and s, m, seed, None, str(exc)))
     rows.sort(key=lambda r: r.sort_key)
     return SweepResult(spec=spec, rows=tuple(rows))
 

@@ -23,7 +23,7 @@ import sys
 from typing import Mapping, Sequence
 
 from . import bench, greeks
-from .estimators import IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _estimate, shared_ensemble
+from .estimators import IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _estimates
 from .paths import MCConfig, default_steps
 
 CSV_HEADER = (
@@ -206,7 +206,8 @@ def _arguments(q: Quantity, args) -> dict:
 
 
 def _run_quantity(args) -> list[list[str]]:
-    """One quantity at one point, every chosen method on one shared ensemble."""
+    """One quantity at one point, every chosen method on one shared
+    ensemble: one group of ``estimators._estimates``."""
     order = getattr(args, "order", 0)
     name = _COMMAND_ROWS[args.command][order]
     if order and args.nu != 0.0:
@@ -215,10 +216,10 @@ def _run_quantity(args) -> list[list[str]]:
     methods = _method_choice(args, tuple(q.methods))
     call = _arguments(q, args)
     cfg = _cfg(args, q.horizon(call))
-    ens = shared_ensemble(cfg, [(name, m, call) for m in methods], threads=args.threads)
-    options = {"bandwidth": args.bandwidth} if "bandwidth" in args else {}
-    return [_row(name, m, _estimate(q, cfg, m, ens, **call, **options), vars(args),
-                 cfg.n_paths, cfg.n_steps, cfg.master_seed) for m in methods]
+    call.update({"bandwidth": args.bandwidth} if "bandwidth" in args else {})
+    estimates = _estimates([(cfg, (cfg.n_steps,), [(q, m, call) for m in methods])], args.threads)
+    return [_row(name, m, estimate(), vars(args), cfg.n_paths, cfg.n_steps, cfg.master_seed)
+            for m, estimate in zip(methods, estimates)]
 
 
 def _run_greeks(args) -> list[list[str]]:

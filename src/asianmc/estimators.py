@@ -14,7 +14,9 @@ Each quantity is described once, in :data:`QUANTITIES`: its parameters, its
 methods, the drifts each method reads, its per-path values and any exact
 value.  The public estimators, the sweep and the command line all read that
 table, and every estimate comes out of one function, ``_estimate``; the
-printed-weight routes are private rows of the same kind.
+printed-weight routes are private rows of the same kind.  A public estimator
+is one call of it; the sweep, the Greek report and each single-quantity
+command draw and estimate in one loop, ``_estimates``.
 
 The printed identity weights carry the factor e^{Y - 2/a}, Y = 2M/(a + A).
 That factor is a strict local martingale with a tail of index 1: its
@@ -33,8 +35,9 @@ and the measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -92,10 +95,11 @@ def _ensemble_for(
     simulated in separate calls with equal cfg still share their underlying
     increments; passing an ensemble is purely an optimization.  Its batches
     are looked up by their own (t, nu), so it may be the drift-keyed mapping
-    of :func:`~asianmc.paths.sample_ensemble` or the (t, nu)-keyed one of
-    :func:`shared_ensemble`.  A supplied batch the call reads must have been
-    drawn with its cfg, and a drift the call reads at ``t`` must not be
-    supplied only at other horizons; any other key the ensemble lacks is
+    of :func:`~asianmc.paths.sample_ensemble` or the (t, nu)-keyed one that
+    :func:`_estimates` builds.  A supplied batch the call reads must have
+    been drawn with its cfg, and a drift the call reads at ``t`` must not be
+    supplied only at other horizons, unless ``t`` is a horizon the path core
+    cannot draw, which is named instead; any other key the ensemble lacks is
     drawn.  A batch the call reads whose grid left the float range raises
     ValueError naming its (t, nu) (see :class:`~asianmc.paths.PathBatch`).
     """
@@ -103,6 +107,7 @@ def _ensemble_for(
     for b in have.values():
         if ((b.t, b.nu) in keys and b.cfg != cfg
                 or (t, b.nu) in keys and (t, b.nu) not in have):
+            _check_key(t, b.nu)
             raise ValueError(f"the supplied drift-{b.nu} batch was drawn at t={b.t} with "
                              f"{b.cfg}, but the call is at t={t} with {cfg}")
     missing = [(h, nu, 1) for h, nu in keys if (h, nu) not in have]
@@ -566,21 +571,33 @@ def _call_keys(calls: Iterable[tuple[Quantity, str, Mapping]],
     return sorted(keys)
 
 
-def shared_ensemble(cfg: MCConfig, calls: Iterable[tuple[str, str, Mapping]],
-                    *, threads: int | None = None) -> dict[tuple, PathBatch]:
-    """One ensemble, keyed by (horizon, drift), with every key the
-    ``(quantity, method, args)`` calls read, at whatever horizons they read
-    them (the FD vega reads two sigma-moved ones), drawn in one call of the
-    path core, so that all of them share one draw of normals.  ``threads``
-    spreads that draw's chunks over worker threads as in
-    :func:`~asianmc.paths.sample_ensemble`; None (the default) is serial.
+def _estimates(groups: Sequence[tuple[MCConfig, Sequence[int], Sequence]],
+               threads: int | None = None) -> Iterator[partial]:
+    """Each ``(row, method, args)`` call of each ``(cfg, step counts, calls)``
+    group, estimated on that group's draw, as a deferred call of
+    :func:`_estimate`: the consumer calls it, so an error is raised, or
+    caught, at the call it belongs to.
 
-    A call with an exact value reads no key.  Calls whose arguments or
-    method the quantity rejects, or that read a negative horizon, add no
-    key; made with this ensemble, they raise their own error.
+    A group is one draw at ``cfg``, whose step count is the finest of the
+    group's counts, each of which divides it; its keys are every (horizon,
+    drift) its calls read (:func:`_call_keys`), at stride cfg.n_steps // s
+    for each count s, so the calls at every count read the same paths.  The
+    calls come in order of step count, then of call.  Every group is drawn
+    in one call of the path core, as the groups are read, so the chunks of
+    small groups share the ``threads`` workers (None, the default, is
+    serial) and one window of draws is held at a time (see
+    :func:`~asianmc.paths._batches`).  This is the one loop that draws and
+    estimates: the sweep, the Greek report and each single-quantity command
+    read it.
     """
-    keys = _call_keys((QUANTITIES[name], method, args) for name, method, args in calls)
-    return {(b.t, b.nu): b for b in next(_batches([(keys, cfg)], threads))}
+    draws = _batches(((_call_keys(calls, [cfg.n_steps // s for s in steps]), cfg)
+                      for cfg, steps, calls in groups), threads)
+    for (cfg, steps, calls), batches in zip(groups, draws):
+        for s in steps:
+            grid = replace(cfg, n_steps=s)
+            ens = {(b.t, b.nu): b for b in batches if b.cfg == grid}
+            for q, method, args in calls:
+                yield partial(_estimate, q, grid, method, ens, **args)
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,27 @@ distribution estimators in :mod:`asianmc.estimators`; finite-difference
 cross-checks with common random numbers are built in.  The price and each
 Greek are option rows of the quantity table, and so are the comparison
 routes :func:`vega_weighted` and :func:`theta_fd_expiry` (private rows):
-every public function here is one call of ``estimators._estimate``.  Each
-per-path builder is itself a row function ``(ens, spec)`` that reads its
-batches at the spec's horizon, so the rows list the builders, and the
-theta rows are the one pricing relation (:func:`_pricing_relation`) over
-three builders of their method.  At strike 0 every row is exact, and such
-a call draws no paths.  A report reads every horizon and drift it needs
-(the driftless and drift-1 batches at T, and the FD vega's two
-sigma-moved horizons) from one draw of normals.
+every public function here but :func:`greek_report` is one call of
+``estimators._estimate``, and the report is one group of the loop that
+draws and estimates, ``estimators._estimates``.  Each per-path builder is
+itself a row function ``(ens, spec)`` that reads its batches at the spec's
+horizon, so the rows list the builders, and the theta rows are the one
+pricing relation (:func:`_pricing_relation`) over three builders of their
+method.  At strike 0 every row is exact, and such a call draws no paths.
+A report reads every horizon and drift it needs (the driftless and
+drift-1 batches at T, and the FD vega's two sigma-moved horizons) from one
+draw of normals.
 
 Rate convention: pricing the driftless integral at every rate means the
 underlying has zero risk-neutral drift, as a futures price has, or a stock
 whose dividend yield equals the rate.  The zero-strike price s0 e^{-r tau}
 is the price under this convention.  A stock without dividends would read
-the drifted integral A^{(nu)} with nu = 2r/sigma^2, and its zero-strike
-price is s0 (1 - e^{-r tau}) / (r tau).  Two forms do not fit this
-convention: the pricing-relation :func:`theta` carries the r s0 delta term
-of a stock with drift r, and the printed vega's strike term carries no
-discount (the ``printed-form=`` flag of :func:`vega`).
+the drifted integral A^{(nu)} with nu = r/sigma^2 (in the effective time
+s = sigma^2 u its mean e^{nu s} must be the stock's growth e^{r u}), and
+its zero-strike price is s0 (1 - e^{-r tau}) / (r tau).  Two forms do not
+fit this convention: the pricing-relation :func:`theta` carries the r s0
+delta term of a stock with drift r, and the printed vega's strike term
+carries no discount (the ``printed-form=`` flag of :func:`vega`).
 
 Method tags: ``identity`` uses the closed-form transformed estimators,
 ``naive`` prices the raw discounted payoff, ``fd`` differentiates the naive
@@ -47,11 +50,11 @@ from .estimators import (
     Estimate,
     Quantity,
     _estimate,
+    _estimates,
     _excess,
     _two_over_square,
     density_identity_values,
     kernel_identity_values,
-    shared_ensemble,
     split_weight,
     tilted_cdf_values,
     weighted_cdf_values,
@@ -432,18 +435,21 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
     With ``fd_check`` the report also carries the four common-random-number
     finite-difference cross-checks: delta and gamma in s0 and theta through
     the pricing relation with those FD Greeks, and vega in sigma, which
-    reads the ensemble at its two sigma-moved horizons.  Every (horizon,
-    drift) the report reads comes from one draw of normals, whose chunks
-    ``threads`` spreads over worker threads as in
-    :func:`~asianmc.paths.sample_ensemble`; None (the default) is serial.
+    reads the ensemble at its two sigma-moved horizons.  The report is one
+    group of ``estimators._estimates``: every (horizon, drift) its rows read
+    comes from one draw of normals, whose chunks ``threads`` spreads over
+    worker threads as in :func:`~asianmc.paths.sample_ensemble` (None, the
+    default, is serial), and the rows are estimated on it in turn, price
+    first, so the first that fails raises.
     """
     sensitivities = ("delta", "gamma", "theta", "vega")
     price_method = NAIVE if method == NAIVE else IDENTITY
     greek_method = FD if method == NAIVE else method
     methods = (greek_method, FD) if fd_check else (greek_method,)
     calls = [("price", price_method)] + [(name, m) for name in sensitivities for m in methods]
-    ens = shared_ensemble(cfg, [(name, m, {"spec": spec}) for name, m in calls], threads=threads)
-    est = {(name, m): _estimate(QUANTITIES[name], cfg, m, ens, spec=spec) for name, m in calls}
+    estimates = _estimates([(cfg, (cfg.n_steps,), [(QUANTITIES[name], m, {"spec": spec})
+                                                  for name, m in calls])], threads)
+    est = {call: estimate() for call, estimate in zip(calls, estimates)}
     report = GreekReport(spec, method, est["price", price_method],
                          *(est[name, greek_method] for name in sensitivities))
     if not fd_check:

@@ -421,8 +421,11 @@ def _batches(
     discretization.  Every draw is made by one :func:`_simulate_all` call,
     so the chunks of consecutive small draws share the ``threads`` workers.
     This is the only code that turns the path core's arrays into batches:
-    the ensembles of :func:`sample_ensemble`, of the estimators and of a
-    sweep, at one step count or at several nested ones, all come from here.
+    the ensembles of :func:`sample_ensemble`, of one estimate and of the
+    loop that draws and estimates for a sweep, a Greek report and each
+    single-quantity command (``estimators._ensemble_for`` and
+    ``estimators._estimates``), at one step count or at several nested
+    ones, all come from here.
     """
     draws = [(tuple(keys), cfg) for keys, cfg in draws]
     for (keys, cfg), grid in zip(draws, _simulate_all(draws, threads)):
@@ -471,14 +474,13 @@ def sample_batch(t: float, nu: float, cfg: MCConfig, threads: int | None = None)
 
 
 def sample_path(t: float, nu: float, cfg: MCConfig, path_index: int) -> PathSample:
-    """Evaluate a single path, bit-identical to its row in :func:`sample_batch`."""
-    _check_key(t, nu)
+    """Evaluate a single path, bit-identical to its row in :func:`sample_batch`.
+
+    It is that row: the batch of the first path_index + 1 paths is drawn,
+    so a path at a large index draws every path before it, and a grid that
+    leaves the float range raises ValueError naming (t, nu) as
+    :func:`sample_batch` does."""
     path_index = _integer("path_index", path_index)
     if not 0 <= path_index < cfg.n_paths:
         raise ValueError(f"path_index {path_index} outside [0, {cfg.n_paths})")
-    chunk, row = divmod(path_index, PATHS_PER_CHUNK)
-    *_, z = _chunk_normals(cfg.master_seed, chunk, cfg.n_steps, row + 1)
-    if cfg.antithetic:
-        _pair(z)
-    tv, iv = _functionals_from_normals(z[-1:], ((t, nu, 1),))[t, nu, 1]
-    return PathSample(float(tv[0]), float(iv[0]))
+    return sample_batch(t, nu, replace(cfg, n_paths=path_index + 1)).sample(path_index)

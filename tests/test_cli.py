@@ -175,6 +175,24 @@ def test_a_drift_whose_grid_overflows_names_itself_in_the_cells_that_read_it():
     assert rows[1]["flags"].startswith(f"error={message} (naive estimate at a=1.0, t=1.0, ")
 
 
+def test_a_negative_horizon_in_a_sweep_names_itself():
+    # call_kernel bounds t only to be finite; a cell at t = -1 reads a key
+    # the path core cannot draw, and it says so, not that the t = 1 batch it
+    # was offered was drawn elsewhere; the t = 1 rows are those of a sweep
+    # without the t = -1 cells
+    sweep = ("sweep", "--quantity", "call_kernel", "--grid", "a=0.5,1", "--steps", "8",
+             "--paths", "300")
+    code, out, err = invoke(*sweep, "--grid", "t=-1,1")
+    _, alone, _ = invoke(*sweep, "--grid", "t=1")
+    assert code == 0 and err == ""
+    rows = parse(out)
+    errors = [(r["a"], r["method"], r["flags"]) for r in rows if r["t"] == "-1"]
+    assert errors == [(a, m, f"error=time t must be nonnegative, got -1.0 ({m} estimate at "
+                             f"a={float(a)}, t=-1.0, nu=0.0)")
+                      for a in ("0.5", "1") for m in ("identity", "naive")]
+    assert [line for line in out.splitlines() if ",-1,0," not in line] == alone.splitlines()
+
+
 @pytest.mark.parametrize("argv, name", _extreme_argvs())
 def test_every_parameter_at_extreme_magnitudes_names_itself_or_stays_finite(argv, name):
     # no numpy warning: either finite estimates and stderrs, or exit 2 with
@@ -564,19 +582,49 @@ def _names(node):
     return getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
 
 
-def test_one_harness_loop():
-    # the bias report is a sweep: in bench, run_sweep alone draws batches
-    # and estimates on them, in one call of each, and the bias command
-    # calls neither
-    bench = ast.parse(Path(am.bench.__file__).read_text())
-    for name in ("_batches", "_estimate"):
-        def calls(node):
-            return isinstance(node, ast.Call) and name in _names(node.func)
+def _references(name, imports=False):
+    """A node matcher: a Name or Attribute that reads ``name``, and with
+    ``imports`` an import of it."""
+    kinds = (ast.Name, ast.Attribute, ast.alias) if imports else (ast.Name, ast.Attribute)
+    return lambda node: isinstance(node, kinds) and name in _names(node)
 
-        assert sum(map(calls, ast.walk(bench))) == 1, name
-        assert {scope for scope in _scopes(calls) if scope.startswith("bench.")} \
-            == {"bench.run_sweep"}, name
-        assert "cli._run_bias" not in _scopes(calls), name
+
+def _function(scope):
+    """The definition at a qualified scope such as ``greeks.price``."""
+    module, *path = scope.split(".")
+    node = ast.parse(Path(am.__file__).with_name(f"{module}.py").read_text())
+    for name in path:
+        node = next(child for child in node.body if getattr(child, "name", None) == name)
+    return node
+
+
+def test_one_harness_loop():
+    # estimators._estimates is the one loop that draws and estimates: the
+    # sweep (and the bias report, a sweep), the Greek report and each
+    # single-quantity command read it.  Besides it, _estimate is read only by
+    # public functions that are one call of it, and _batches is called only
+    # by sample_ensemble and _ensemble_for; bench, cli and greek_report name
+    # neither, and shared_ensemble is gone
+    def one_call(scope):
+        fn = _function(scope)
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        return (not fn.name.startswith("_") and len(body) == 1
+                and isinstance(body[0], ast.Return) and isinstance(body[0].value, ast.Call)
+                and "_estimate" in _names(body[0].value.func))
+
+    readers = _scopes(_references("_estimate"))
+    assert {scope for scope in readers if not one_call(scope)} == {"estimators._estimates"}
+    assert len(readers) > 10  # the public estimators and the greeks
+    assert _scopes(lambda node: isinstance(node, ast.Call) and "_batches" in _names(node.func)) \
+        == {"paths.sample_ensemble", "estimators._ensemble_for", "estimators._estimates"}
+    assert _scopes(lambda node: isinstance(node, ast.Call) and "_estimates" in _names(node.func)) \
+        == {"bench.run_sweep", "greeks.greek_report", "cli._run_quantity"}
+    for name in ("_estimate", "_batches"):
+        assert not {scope for scope in _scopes(_references(name, imports=True))
+                    if scope.partition(".")[0] in ("bench", "cli")
+                    or scope == "greeks.greek_report"}, name
+    assert not hasattr(am.estimators, "shared_ensemble")
+    assert not _scopes(_references("shared_ensemble", imports=True))
 
 
 def test_one_route_to_the_path_core_and_to_the_wrapper():

@@ -23,7 +23,10 @@ SIZE = ("--paths", "256", "--steps", "64")
 # one small run of each command, at most 256 paths and 64 steps and no
 # antithetic, then three that break that rule: a default-grid sweep over two
 # horizons (512 and 1,024 steps), an antithetic bias run at an odd path count
-# and an antithetic sweep with closed-form cells
+# and an antithetic sweep with closed-form cells; last, one run more of each
+# command route that picks its own method, extras or threads: a naive greeks
+# report and a density with a bandwidth, both within the rule, then a
+# two-chunk threaded cdf (1,500 paths, 16 steps) and an antithetic kernel
 ARGVS = [
     ("price", *SIZE),
     ("greeks", "--fd-check", "--seed", "3", *SIZE),
@@ -40,6 +43,10 @@ ARGVS = [
     ("bias", "--t", "1", "--nu", "1", "--steps-grid", "8,16,32", "--paths", "255", "--antithetic"),
     ("sweep", "--quantity", "price", "--grid", "strike=0,1", "--paths", "256", "--steps", "16",
      "--antithetic"),
+    ("greeks", "--fd-check", "--method", "naive", *SIZE),
+    ("density", "--a", "0.5", "--bandwidth", "0.01", *SIZE),
+    ("cdf", "--a", "1", "--method", "naive", "--paths", "1500", "--steps", "16", "--threads", "2"),
+    ("kernel", "--a", "1", "--order", "1", "--method", "identity", "--antithetic", *SIZE),
 ]
 
 

@@ -35,7 +35,6 @@ from asianmc.estimators import (
     _TRANSFORM,
     _wrap,
     cdf_identity_values,
-    shared_ensemble,
     density_identity_values,
     kernel_d2_identity_values,
     kernel_identity_values,
@@ -196,8 +195,7 @@ def test_cdf_agrees_with_the_grid_chain():
     # ensemble of that grid lie within 3 stderr of it
     t, n_steps, a_values = 1.0, 64, (0.5, 1.0, 2.0)
     cfg = MCConfig(400_000, n_steps, 7)
-    ens = shared_ensemble(cfg, [("cdf", method, {"a": a, "t": t, "nu": nu}) for nu in CHAIN_CDF
-                                for a in a_values for method in (NAIVE, IDENTITY)])
+    ens = am.sample_ensemble(t, tuple(CHAIN_CDF), cfg)
     for nu, recorded in CHAIN_CDF.items():
         coarse = grid_chain_cdf(a_values, t, nu, n_steps, m=8_000)
         chain = grid_chain_cdf(a_values, t, nu, n_steps, m=16_000)
@@ -802,8 +800,10 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
     # every horizon they read: s0 at T, sigma and expiry at their moved ones
     cfg = full[1.0, 0.0].cfg
     up, dn, _ = am.greeks._moved(spec, "expiry", "theta")
-    ens = shared_ensemble(cfg, [("delta", "fd", {"spec": spec}), ("vega", "fd", {"spec": spec})]
-                          + [("price", NAIVE, {"spec": s}) for s in (up, dn)])
+    keys = {key for name, method, s in (("delta", "fd", spec), ("vega", "fd", spec),
+                                        ("price", NAIVE, up), ("price", NAIVE, dn))
+            for key in QUANTITIES[name].keys(method, {"spec": s})}
+    ens = {key: am.sample_batch(*key, cfg) for key in keys}
     for row, name, step in ((QUANTITIES["delta"], "s0", "delta"),
                             (QUANTITIES["vega"], "sigma", "vega"),
                             (am.greeks._THETA_EXPIRY, "expiry", "theta")):

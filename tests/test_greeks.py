@@ -8,7 +8,7 @@ import pytest
 
 import asianmc as am
 from asianmc import MCConfig, OptionSpec
-from asianmc.estimators import IDENTITY, QUANTITIES, shared_ensemble
+from asianmc.estimators import IDENTITY, QUANTITIES, _estimates
 from asianmc.greeks import FD, FD_REL_STEP, _central, price_naive_values, theta_fd_expiry
 
 FIG_CONFIG = OptionSpec(s0=1.0, strike=1.0, sigma=1.0, rate=0.0, expiry=1.0)
@@ -106,7 +106,8 @@ def test_theta_mean_is_the_mean_of_its_per_path_values(method):
     # the estimate reports the former, the one its stderr belongs to
     spec = OptionSpec(1.3, 1.1, 0.7, 0.03, 1.5)
     cfg = MCConfig(3_000, 64, 42)
-    ens = shared_ensemble(cfg, [("theta", method, {"spec": spec})])
+    nus = [nu for _, nu in QUANTITIES["theta"].keys(method, {"spec": spec})]
+    ens = {(b.t, b.nu): b for b in am.sample_ensemble(spec.horizon, nus, cfg).values()}
     values = QUANTITIES["theta"].methods[method][1](ens, spec=spec)
     est = am.theta(spec, cfg, method, ensemble=ens)
     assert est.mean == float(values.mean())
@@ -216,12 +217,13 @@ def test_pricing_relation_theta_differs_from_time_decay():
 
 
 def test_fd_vega_bumped_prices_equal_fresh_draws_at_each_horizon():
-    # both bumped horizons are read from one draw of normals; each must equal
-    # a separate draw at that horizon, bit for bit (1500 paths: two chunks)
+    # both bumped horizons are read from one draw of normals, the ensemble
+    # that the report's loop gives the FD vega; each must equal a separate
+    # draw at that horizon, bit for bit (1500 paths: two chunks)
     spec = OptionSpec(s0=1.0, strike=1.1, sigma=0.8, rate=0.02, expiry=1.5)
     cfg = MCConfig(1_500, 64, 3)
-    up, dn, h = _central(spec, "sigma", "vega", shared_ensemble(cfg, [
-        ("vega", FD, {"spec": spec})]))
+    vega = next(_estimates([(cfg, (cfg.n_steps,), [(QUANTITIES["vega"], FD, {"spec": spec})])]))
+    up, dn, h = _central(spec, "sigma", "vega", vega.args[3])  # _estimate(q, cfg, method, ens)
     assert h == FD_REL_STEP["vega"] * spec.sigma
     for values, sigma in ((up, spec.sigma + h), (dn, spec.sigma - h)):
         moved = replace(spec, sigma=sigma)

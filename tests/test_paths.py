@@ -524,15 +524,19 @@ def test_a_sweep_draws_each_configuration_once(monkeypatch):
 def test_a_grid_outside_the_float_range_is_named_once_per_batch(monkeypatch):
     # exp(709 t) is finite at t = 1, but X e^{709 s} overflows on some of
     # the 64 paths: the kernel stays silent, the batch names (t, nu), the
-    # public draw raises it, and an estimate on the drift-0 batch of the
-    # same draw is that of a drift-0 draw alone
+    # public draws raise it (path 30 is one that overflows), and an
+    # estimate on the drift-0 batch of the same draw is that of a drift-0
+    # draw alone
     cfg = MCConfig(64, 8, 42)
     (b0, b709), = asianmc.paths._batches([([(1.0, 0.0, 1), (1.0, 709.0, 1)], cfg)])
     message = "the path grid at nu = 709.0, t = 1.0 leaves the float range"
     assert b0._error is None and np.isfinite(b0.integral).all()
     assert b709._error == message and not np.isfinite(b709.integral).all()
+    assert not np.isfinite(b709.integral[30])
     with pytest.raises(ValueError, match=message):
         sample_batch(1.0, 709.0, cfg)
+    with pytest.raises(ValueError, match=message):
+        sample_path(1.0, 709.0, cfg, 30)
     ens = {(b.t, b.nu): b for b in (b0, b709)}
     with pytest.raises(ValueError, match=message):
         asianmc.cdf(1.0, 1.0, 709.0, cfg, "naive", ensemble=ens)

@@ -1,10 +1,12 @@
-"""The repository's tools: the code-line counter that aim 2's count comes from."""
+"""The repository's tools: the code-line counter that aim 2's count comes
+from, and the interleaved A/B timer."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "code_lines.py"
 
 # 22 lines, 9 of them code: the import, the class and def lines, the
 # assignment, the four lines of the call and the return
@@ -39,3 +41,14 @@ def test_code_lines_counts_only_code(tmp_path):
     out = subprocess.run([sys.executable, str(TOOL), "-v", str(tmp_path)], capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["     9  fixture.py", "9"]
+
+
+def test_ab_compares_the_outputs_of_the_two_sides():
+    # the working tree against itself: every op's output on the first cycle
+    # is the same on both sides, and the tool says so and exits 0
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), ".", ".",
+                          "--workload", "sweep-bias", "--cycles", "1"],
+                         cwd=ROOT, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "  outputs: no op differs"
+    assert "  failed ops: base 0, change 0" in run.stdout.splitlines()

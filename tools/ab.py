@@ -19,11 +19,18 @@ cycle.  So this resolves changes that consecutive processes cannot.  It
 prints each side's median and quartiles of per-cycle wall and CPU seconds,
 and the pairs each metric was won by the change (ties counting for neither).
 It is a sizing tool: claims of a gain still come from ``perfbench/run.py``.
+
+It also checks that the two sides compute the same thing: on the first
+timed cycle it compares each op's output on the two sides (a CLI op's exit
+code, CSV and standard error; the fields of each Estimate of a library op,
+as ``perfbench/run.py`` fingerprints them), prints the ops whose outputs
+differ or that none does, and exits 1 if any differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import io
 import shutil
@@ -51,6 +58,14 @@ def _copy_package(rev: str, dest: Path) -> None:
         tar.extractall(dest.parent / "_extract", filter="data")
     (dest.parent / "_extract" / "src" / "asianmc").rename(dest)
     shutil.rmtree(dest.parent / "_extract")
+
+
+def _fingerprint(out) -> object:
+    """An op's output in a form that compares equal across the two packages:
+    a library op's Estimates, whose classes differ by side, as field tuples."""
+    if isinstance(out, dict):
+        return sorted((key, [dataclasses.astuple(e) for e in v]) for key, v in out.items())
+    return out
 
 
 def _quartiles(values: list[float]) -> dict[str, float]:
@@ -81,9 +96,11 @@ def main(argv: list[str] | None = None) -> int:
             pkg = importlib.import_module(f"asianmc_{side}")
             packages[side] = (pkg, importlib.import_module(f"asianmc_{side}.cli"))
 
-        def run_ops(side: str, seed: int, tiny: bool = False) -> tuple[float, float, int]:
+        def run_ops(side: str, seed: int, tiny: bool = False,
+                    outputs: dict | None = None) -> tuple[float, float, int]:
             """Wall and CPU seconds of one pass over the workload's ops, and
-            the number of ops whose check failed."""
+            the number of ops whose check failed; each op's output
+            fingerprint goes into ``outputs``, by op name, if given."""
             workloads.am, workloads.cli = packages[side]
             ops = workloads.WORKLOADS[args.workload](seed, tiny=tiny)
             wall = cpu = 0.0
@@ -94,14 +111,18 @@ def main(argv: list[str] | None = None) -> int:
                 wall += time.perf_counter() - w0
                 cpu += time.process_time() - c0
                 failed += bool(op.check(out))
+                if outputs is not None:
+                    outputs[op.name] = _fingerprint(out)
             return wall, cpu, failed
 
         for side in SIDES:
             run_ops(side, 0, tiny=True)
         runs = {side: {"wall_s": [], "cpu_s": [], "failed": 0} for side in SIDES}
+        outputs = {side: {} for side in SIDES}
         for cycle in range(args.cycles):
             for side in SIDES if cycle % 2 == 0 else SIDES[::-1]:
-                wall, cpu, failed = run_ops(side, args.seed)
+                wall, cpu, failed = run_ops(side, args.seed,
+                                            outputs=outputs[side] if cycle == 0 else None)
                 runs[side]["wall_s"].append(wall)
                 runs[side]["cpu_s"].append(cpu)
                 runs[side]["failed"] += failed
@@ -118,7 +139,9 @@ def main(argv: list[str] | None = None) -> int:
               f"({c['median'] / b['median'] - 1:+.1%}); change won {wins}/{args.cycles} "
               f"pairs, {ties} ties")
     print(f"  failed ops: base {runs['base']['failed']}, change {runs['change']['failed']}")
-    return 0
+    differ = [name for name, out in outputs["base"].items() if outputs["change"].get(name) != out]
+    print(f"  outputs differ: {', '.join(differ)}" if differ else "  outputs: no op differs")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
