@@ -187,8 +187,9 @@ def split_weight(batch: PathBatch, a: float) -> tuple[np.ndarray, np.ndarray]:
     event on the drifted functionals.  There the body also carries the
     printed drift factor (a/(a + A))^{2 nu}, built once per split, so it
     is at most 1 only for nu >= 0; for nu < 0 the factor (1 + A/a)^{2|nu|}
-    is unbounded but has every moment.  Only the CDF identity, and the
-    density and gamma through it, read a drifted split.
+    is unbounded but has every moment.  The CDF identity (and the density
+    and gamma through it) and the kernel identity read a drifted split;
+    none applies a change-of-drift weight.
 
     The batch keeps the last split built on it, so every curve read at one
     (batch, a) shares one exp and one drift factor: a second call with the
@@ -239,12 +240,13 @@ def cdf_identity_values(batch: PathBatch, a: float) -> np.ndarray:
     return body + tail
 
 
-def _drift_weight(batch0: PathBatch, nu: float, out: np.ndarray | None = None) -> np.ndarray:
+def _drift_weight(batch0: PathBatch, nu: float) -> np.ndarray:
     """The change-of-drift weight M^nu e^{nu t/2 - nu^2 t/2} per driftless
-    path, in ``out`` if given: its mean under the driftless law of an
-    expression in (M, A) is the drift-nu expectation of that expression."""
+    path: its mean under the driftless law of an expression in (M, A) is the
+    drift-nu expectation of that expression.  Only :func:`tilted_cdf_values`
+    reads it; every split identity reads drift-nu paths instead."""
     t = batch0.t
-    out = np.power(batch0.terminal, nu, out=out)
+    out = np.power(batch0.terminal, nu)
     out *= math.exp(nu * t / 2.0 - nu * nu * t / 2.0)
     return out
 
@@ -253,41 +255,39 @@ def tilted_cdf_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray:
     """Exponential-tilt estimator of Pr[A_t^{(nu)} <= a] on driftless paths.
 
     Weights M^nu e^{nu t/2 - nu^2 t/2} 1{A <= a} (:func:`_drift_weight`);
-    the exact change of drift, with the truncation indicator kept.
+    the exact change of drift, with the truncation indicator kept.  Only
+    vega's drift-1 survival reads it; :func:`cdf` reads drift-nu paths.
     """
     values = _drift_weight(batch0, nu)
     values *= batch0.integral <= a
     return values
 
 
-def kernel_identity_values(batch0: PathBatch, a: float, nu: float) -> np.ndarray:
+def kernel_identity_values(batch: PathBatch, a: float) -> np.ndarray:
     """Per-path values of the transformed truncated-moment identity.
 
-    Estimates E[(A_t^{(nu)} - a)^+] from driftless paths.  The printed form
-    (e^{nu t}-1)/nu - a + e^{nu t/2 - nu^2 t/2} a^{2nu+2}
-        M^nu (a+A)^{-(2nu+1)} exp(2M/(a+A) - 2/a)
-    is evaluated through :func:`split_weight`, whose tail factor is
-    e^{nu t/2 - nu^2 t/2} M^nu (a - A).
+    Estimates E[(A_t^{(nu)} - a)^+] on the batch's own drift nu, as
+    :func:`cdf_identity_values` does: E[A] - a + E[(a - A)^+] with
+    E[A] = (e^{nu t} - 1)/nu, and the truncated moment through
+    :func:`split_weight`, whose body already carries the drift factor
+    (a/(a + A))^{2 nu}.  The values are
+    (e^{nu t} - 1)/nu - a + body a^2/(a + A) + tail (a - A).
     """
-    t = batch0.t
+    t = batch.t
     if t == 0.0:
         # degenerate paths make every per-path value (e^0-1)/nu - a + a = 0;
         # short-circuit to avoid the one-ulp exp/log round-trip residue
-        return np.zeros(len(batch0))
-    integ = batch0.integral
-    body, tail = split_weight(batch0, a)
+        return np.zeros(len(batch))
+    integ = batch.integral
+    body, tail = split_weight(batch, a)
     scratch = integ + a
     np.divide(a, scratch, out=scratch)
-    if nu != 0.0:
-        scratch **= 2.0 * nu + 1.0
     values = body * scratch
     values *= a
     np.subtract(a, integ, out=scratch)
     scratch *= tail
     values += scratch
-    if nu != 0.0:
-        values *= _drift_weight(batch0, nu, out=scratch)
-    values += stable_exp_rate(nu, t) - a
+    values += stable_exp_rate(batch.nu, t) - a
     return values
 
 
@@ -379,9 +379,9 @@ def _joint_identity_values(ens, b, a, t, **_) -> np.ndarray:
     values += 1.0
     values *= values
     values *= b
-    keep = m <= values
+    keep = m < values
     np.multiply(body, keep, out=values)
-    np.less_equal(m, b, out=keep)
+    np.less(m, b, out=keep)
     keep &= tail
     values += keep
     return values
@@ -489,7 +489,7 @@ QUANTITIES: dict[str, Quantity] = {
     }),
     "call_kernel": Quantity({"a": POSITIVE, "t": None, "nu": None}, {
         NAIVE: (("nu",), lambda ens, a, t, nu, **_: _excess(ens[t, nu].integral, a)),
-        IDENTITY: ((0.0,), lambda ens, a, t, nu, **_: kernel_identity_values(ens[t, 0.0], a, nu)),
+        IDENTITY: (("nu",), lambda ens, a, t, nu, **_: kernel_identity_values(ens[t, nu], a)),
     }),
     "call_kernel_d1": Quantity({"a": POSITIVE, "t": POSITIVE}, {
         method: ((0.0,), lambda ens, a, t, cdf_values=values, **_: cdf_values(ens, a, t, 0.0) - 1.0)
@@ -696,8 +696,8 @@ def joint_cdf(
 ) -> Estimate:
     """Estimate Pr[M_t < b, A_t < a].
 
-    identity: e^{-2/a} E[exp(2M/(a+A)); M <= b (1 + A/a)^2], with the weight
-    split by :func:`split_weight`; the tail factor is 1{M <= b}, so every
+    identity: e^{-2/a} E[exp(2M/(a+A)); M < b (1 + A/a)^2], with the weight
+    split by :func:`split_weight`; the tail factor is 1{M < b}, so every
     per-path value lies in [0, 2].  With b beyond every sampled terminal the
     values are those of :func:`cdf` bit for bit.
     naive: the two-indicator mean.
@@ -714,7 +714,12 @@ def call_kernel(
     *,
     ensemble: Mapping[float, PathBatch] | None = None,
 ) -> Estimate:
-    """Estimate E[(A_t^{(nu)} - a)^+], the undiscounted Asian call kernel."""
+    """Estimate E[(A_t^{(nu)} - a)^+], the undiscounted Asian call kernel.
+
+    Both methods read the drift-nu paths.  naive: the mean of (A - a)^+.
+    identity: the truncated-moment identity with its weight split by
+    :func:`split_weight` (see :func:`kernel_identity_values`).
+    """
     return _estimate(QUANTITIES["call_kernel"], cfg, method, ensemble, a=a, t=t, nu=nu)
 
 

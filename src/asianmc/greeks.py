@@ -142,7 +142,7 @@ def price_naive_values(ens, spec: OptionSpec, **_) -> np.ndarray:
 def price_identity_values(ens, spec: OptionSpec, **_) -> np.ndarray:
     """The kernel identity at the scale on the driftless batch at the spec's
     horizon, times (s0 / (tau sigma^2)) e^{-r tau}."""
-    values = kernel_identity_values(ens[spec.horizon, 0.0], spec.scale_a, 0.0)
+    values = kernel_identity_values(ens[spec.horizon, 0.0], spec.scale_a)
     values *= spec.s0 / (spec.expiry * spec.sigma**2) * spec.discount
     return values
 

@@ -347,7 +347,9 @@ def _simulate_all(
     depends on (master_seed, c) only (see :func:`_chunk_normals`), and a
     draw at n steps reads its rows as consecutive n-normal segments of it.
     Consecutive draws are taken together until their chunks number at least
-    :data:`WINDOW_CHUNKS_PER_WORKER` per worker, and a window reads each
+    :data:`WINDOW_CHUNKS_PER_WORKER` per worker and the next draw's seed has
+    no draw in the window (so a window may hold every draw of one seed past
+    that count), and a window reads each
     (master_seed, c) stream once for all its draws: the draw that needs the
     most normals draws the stream, one row block at a time, and evaluates
     its rows in place; every other draw of that stream first copies the
@@ -391,6 +393,11 @@ def _simulate_all(
 
     window, streams, items = [], {}, 0
     for keys, cfg in draws:
+        if (items >= WINDOW_CHUNKS_PER_WORKER * (threads or 1)
+                and (cfg.master_seed, 0) not in streams):  # a seed's draws share one window
+            run_window(list(streams.items()))
+            yield from window
+            window, streams, items = [], {}, 0
         keys = tuple(dict.fromkeys(keys))
         for t, nu, _ in keys:
             _check_key(t, nu)
@@ -400,10 +407,6 @@ def _simulate_all(
             streams.setdefault((cfg.master_seed, c), []).append(
                 _StreamRows(keys, cfg, window[-1], c))
         items += len(chunks)
-        if items >= WINDOW_CHUNKS_PER_WORKER * (threads or 1):
-            run_window(list(streams.items()))
-            yield from window
-            window, streams, items = [], {}, 0
     run_window(list(streams.items()))
     yield from window
 

@@ -634,3 +634,15 @@ def test_one_route_to_the_path_core_and_to_the_wrapper():
             _scopes(lambda node: "_simulate_all" in _names(node))} == {"paths"}
     assert _scopes(lambda node: isinstance(node, ast.Call) and "_wrap" in _names(node.func)) \
         == {"estimators._estimate", "bench.SweepResult.seed_mean"}
+
+
+def test_one_drift_route_for_the_split_identities():
+    # every split identity reads the paths of its own drift: the kernel
+    # identity takes no drift and reads the call's, as its naive method does,
+    # and the change-of-drift weight is read only by the exponential-tilt
+    # CDF of vega's drift-1 survival
+    assert _scopes(_references("_drift_weight", imports=True)) == {"estimators.tilted_cdf_values"}
+    args = [arg.arg for arg in _function("estimators.kernel_identity_values").args.args]
+    assert args == ["batch", "a"]
+    methods = am.estimators.QUANTITIES["call_kernel"].methods
+    assert methods["identity"][0] == methods["naive"][0] == ("nu",)

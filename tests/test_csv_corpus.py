@@ -4,13 +4,15 @@
 recorded.  The text is kept rather than a hash, so a failure shows the row
 that moved.  A change that moves a row on purpose re-records the corpus
 with ``PYTHONPATH=src python3 tests/test_csv_corpus.py --record`` and says
-which rows moved and why.
+which rows moved and why; ``--diff`` in place of ``--record`` prints, for
+each entry, the rows that differ from the recorded text.
 """
 
 import io
 import json
 import sys
 from contextlib import redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,11 @@ def test_csv_is_byte_identical_to_the_recorded_text(argv):
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     CORPUS.write_text(json.dumps({" ".join(argv): csv_text(argv) for argv in ARGVS}, indent=1)
                       + "\n")
+elif __name__ == "__main__" and sys.argv[1:] == ["--diff"]:
+    recorded = json.loads(CORPUS.read_text())
+    for argv in ARGVS:
+        rows = zip_longest(recorded[" ".join(argv)].splitlines(), csv_text(argv).splitlines())
+        moved = [(old, new) for old, new in rows if old != new]
+        print(f"{' '.join(argv)}: {len(moved)} differing rows")
+        for old, new in moved:
+            print(f"  - {old}\n  + {new}")

@@ -263,6 +263,22 @@ def test_drifted_kernel_cross_validation_t1(nu, a):
     assert abs(ki.mean - kn.mean) <= 3 * comb_se(ki, kn)
 
 
+def test_drifted_kernel_identity_agrees_with_naive_on_fine_grids():
+    # the identity kernel reads the drift-nu paths, as the CDF does, so it
+    # agrees with naive at negative drifts too, where a change-of-drift
+    # weight on driftless paths fails; 128 steps per unit time keep
+    # |nu| dt <= 1/16, so neither family's grid bias shows
+    nus = (-8.0, -4.0, -1.0, 1.0, 3.0)
+    for t in (1.0, 2.0):
+        cfg = MCConfig(40_000, int(128 * t), 2024)
+        ens = am.sample_ensemble(t, nus, cfg)
+        for nu in nus:
+            for a in (0.2, 1.0, 5.0):
+                ki = am.call_kernel(a, t, nu, cfg, "identity", ensemble=ens)
+                kn = am.call_kernel(a, t, nu, cfg, "naive", ensemble=ens)
+                assert abs(ki.mean - kn.mean) <= 3 * comb_se(ki, kn), (t, nu, a, ki, kn)
+
+
 def test_kernel_deep_out_of_the_money(ens_t1):
     cfg, ens = ens_t1
     ki = am.call_kernel(100.0, 1.0, 0.0, cfg, "identity", ensemble=ens)
@@ -300,8 +316,8 @@ def test_d1_matches_fd_of_kernel_with_crn_at_1e6(driftless_1e6):
     cfg, ens = driftless_1e6
     d1 = am.call_kernel_d1(1.0, 1.0, cfg, "identity", ensemble=ens)
     h = 0.01
-    vals = (kernel_identity_values(ens[0.0], 1.0 + h, 0.0)
-            - kernel_identity_values(ens[0.0], 1.0 - h, 0.0)) / (2 * h)
+    vals = (kernel_identity_values(ens[0.0], 1.0 + h)
+            - kernel_identity_values(ens[0.0], 1.0 - h)) / (2 * h)
     fd_se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
     gap = abs(d1.mean - float(vals.mean()))
     assert gap <= 3 * math.hypot(d1.stderr, fd_se) + 2 * h * h
@@ -372,6 +388,16 @@ def test_joint_cross_validation_tame_cell():
     ji = am.joint_cdf(1.0, 1.0, 0.5, cfg, "identity", ensemble=ens)
     jn = am.joint_cdf(1.0, 1.0, 0.5, cfg, "naive", ensemble=ens)
     assert abs(ji.mean - jn.mean) <= 3 * comb_se(ji, jn)
+
+
+@pytest.mark.parametrize("b,want", [(0.5, 0.0), (1.0, 0.0), (2.0, 1.0)])
+def test_joint_at_time_zero_is_exact(b, want):
+    # M_0 = 1 and A_0 = 0 < a, so Pr[M_0 < b, A_0 < a] = 1{1 < b}: the event
+    # is strict, and b = 1 reads 0 in both methods
+    cfg = MCConfig(64, 8, 42)
+    for method in (NAIVE, IDENTITY):
+        e = am.joint_cdf(b, 1.0, 0.0, cfg, method)
+        assert (e.mean, e.stderr) == (want, 0.0), method
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
@@ -686,18 +712,15 @@ def _reference_cdf(batch, a):
     return body + tail
 
 
-def _reference_kernel(batch0, a, nu):
-    """kernel_identity_values in its printed out-of-place form: the split
-    body times a (a/(a + A))^{2 nu}/(a + A), plus the tail factor (a - A), both
-    times M^nu e^{nu t/2 - nu^2 t/2}, plus (e^{nu t} - 1)/nu - a."""
-    body, tail = _reference_split(batch0, a)
-    m, integ, t = batch0.terminal, batch0.integral, batch0.t
-    ratio = a / (integ + a)
+def _reference_kernel(batch, a):
+    """kernel_identity_values in its out-of-place form on the batch's own
+    drift nu: the split body with its drift factor (a/(a + A))^{2 nu} times
+    a^2/(a + A), plus the tail factor (a - A), plus (e^{nu t} - 1)/nu - a."""
+    body, tail = _reference_split(batch, a)
+    integ, t, nu = batch.integral, batch.t, batch.nu
     if nu != 0.0:
-        ratio = ratio ** (2.0 * nu + 1.0)
-    values = body * ratio * a + (a - integ) * tail
-    if nu != 0.0:
-        values = values * (m ** nu * math.exp(nu * t / 2.0 - nu * nu * t / 2.0))
+        body = body * _reference_drift_factor(batch, a)
+    values = body * (a / (integ + a)) * a + (a - integ) * tail
     return values + (am.stable_exp_rate(nu, t) - a)
 
 
@@ -707,7 +730,7 @@ def _reference_vega(spec, batch0):
     through the indicator."""
     a, sig, disc = spec.scale_a, spec.sigma, spec.discount
     m, integ, t = batch0.terminal, batch0.integral, batch0.t
-    pv = spec.s0 / (spec.expiry * sig**2) * disc * kernel_identity_values(batch0, a, 0.0)
+    pv = spec.s0 / (spec.expiry * sig**2) * disc * kernel_identity_values(batch0, a)
     surv1 = 1.0 - m ** 1.0 * math.exp(t / 2.0 - t / 2.0) * (integ <= a)
     surv0 = 1.0 - (integ <= a)
     values = (-2.0 / sig) * pv + (2.0 * spec.s0 / sig) * disc * surv1 \
@@ -746,7 +769,7 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
         want = {
             ("cdf", IDENTITY): ({"nu": nu}, cdf[nu]),
             ("density", IDENTITY): ({}, (cdf[0.0] - cdf[1.0]) * (2.0 / a**2)),
-            ("joint_cdf", IDENTITY): ({"b": 1.0}, body0 * (m <= bound) + (tail0 & (m <= 1.0))),
+            ("joint_cdf", IDENTITY): ({"b": 1.0}, body0 * (m < bound) + (tail0 & (m < 1.0))),
             ("call_kernel_d1", IDENTITY): ({}, cdf[0.0] - 1.0),
             ("call_kernel_d1", NAIVE): ({}, -1.0 + (integ <= a).astype(float)),
             ("density", NAIVE): ({"bandwidth": None},
@@ -781,10 +804,10 @@ def test_in_place_builders_equal_their_out_of_place_expressions(nu, antithetic):
         assert _same_bits(am.greeks.price_naive_values(ens, spec),
                           scale * np.maximum(b0.integral - ka, 0.0))
         assert _same_bits(am.greeks.price_identity_values(ens, spec),
-                          scale * kernel_identity_values(b0, ka, 0.0))
+                          scale * kernel_identity_values(b0, ka))
         assert _same_bits(am.greeks.gamma_identity_values(ens, spec),
                           pre * density_identity_values(b0, b1, ka))
-        assert _same_bits(kernel_identity_values(b0, a, nu), _reference_kernel(b0, a, nu))
+        assert _same_bits(kernel_identity_values(bnu, a), _reference_kernel(bnu, a))
         values, flags = QUANTITIES["vega"].methods[IDENTITY][1](ens, spec=spec)
         want, want_flags = _reference_vega(spec, b0)
         assert _same_bits(values, want) and flags == want_flags, a

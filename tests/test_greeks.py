@@ -159,6 +159,43 @@ def test_price_identity_vs_naive_at_1e6(driftless_1e6):
     assert abs(pi.mean - pn.mean) <= 3 * comb_se(pi, pn)
 
 
+# Linetsky (2004), "Spectral expansions for Asian (average price) options",
+# Operations Research 52(6): continuously averaged fixed-strike calls on a
+# dividend-free stock, (rate, sigma, expiry, s0) -> price at strike 2
+LINETSKY_STRIKE = 2.0
+LINETSKY_PRICES = [
+    ((0.02, 0.10, 1.0, 2.0), 0.0559860415),
+    ((0.18, 0.30, 1.0, 2.0), 0.2183875466),
+    ((0.0125, 0.25, 2.0, 2.0), 0.1722687410),
+    ((0.05, 0.50, 1.0, 1.9), 0.1931737903),
+    ((0.05, 0.50, 1.0, 2.0), 0.2464156905),
+    ((0.05, 0.50, 1.0, 2.1), 0.3062203648),
+    ((0.05, 0.50, 2.0, 2.0), 0.3500952190),
+]
+
+
+def test_call_kernel_prices_match_linetsky():
+    # an oracle that uses neither Monte Carlo family: in effective time
+    # sigma^2 u the stock's average is (s0/sigma^2) A^{(nu)} with
+    # nu = r/sigma^2, so the price is e^{-rT} s0/(sigma^2 T) call_kernel(a,
+    # sigma^2 T, nu) at a = sigma^2 K T/s0, on the default grid.  Cases of
+    # one (horizon, drift) read one ensemble, and both methods read it, so
+    # the fourteen z-scores are judged as one set
+    drawn = {}
+    for (r, sigma, expiry, s0), want in LINETSKY_PRICES:
+        t, nu = sigma**2 * expiry, r / sigma**2
+        if (t, nu) not in drawn:
+            cfg = MCConfig(100_000, am.default_steps(t), 2025)
+            drawn[t, nu] = cfg, am.sample_ensemble(t, (nu,), cfg, threads=2)
+        cfg, ens = drawn[t, nu]
+        scale = math.exp(-r * expiry) * s0 / t
+        for method in ("naive", "identity"):
+            k = am.call_kernel(sigma**2 * LINETSKY_STRIKE * expiry / s0, t, nu, cfg, method,
+                               ensemble=ens)
+            assert abs(scale * k.mean - want) <= 3 * scale * k.stderr, (r, sigma, expiry, s0,
+                                                                        method, k)
+
+
 def test_vega_adjudication_discount_on_strike_term():
     """The rate question: the derivative of the discounted price requires the
     strike survival term to carry e^{-r tau}; the printed form without it

@@ -501,6 +501,20 @@ def test_a_sweep_draws_each_seed_stream_once(threads, monkeypatch):
     assert sorted(calls) == [(seed, 0) for seed in range(1, 13)]
 
 
+def test_a_window_does_not_split_a_seed(monkeypatch):
+    # the default grid draws t = 0.25 and t = 0.5 as two groups of 17 chunks
+    # (256 and 512 steps); the first alone fills a serial window, but the
+    # second has the same seed, so it joins that window and each (seed,
+    # chunk) stream is drawn once, not twice
+    calls = []
+    draw = asianmc.paths._chunk_normals
+    monkeypatch.setattr(asianmc.paths, "_chunk_normals",
+                        lambda *a, **k: calls.append(a[:2]) or draw(*a, **k))
+    spec = SweepSpec("cdf", {"a": (0.2,), "t": (0.25, 0.5)}, (17_000,), (3,), ("naive",))
+    assert len(run_sweep(spec).rows) == 2
+    assert sorted(calls) == [(3, c) for c in range(17)]
+
+
 def test_a_sweep_draws_each_configuration_once(monkeypatch):
     # the cells of one (seed, n_paths, n_steps) are one draw of the path
     # core, carrying every horizon they read, and their rows are those of

@@ -1,6 +1,7 @@
 """The repository's tools: the code-line counter that aim 2's count comes
 from, and the interleaved A/B timer."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,18 @@ def test_ab_compares_the_outputs_of_the_two_sides():
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "  outputs: no op differs"
     assert "  failed ops: base 0, change 0" in run.stdout.splitlines()
+
+
+def test_ab_times_the_set_up_of_fresh_processes():
+    # --setup 1: after a warm-up probe of each side, one timed fresh-process
+    # probe per side, each with that side's package standing in for asianmc
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), ".", ".",
+                          "--workload", "greeks-fd", "--cycles", "1", "--setup", "1"],
+                         cwd=ROOT, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    setup = [line for line in run.stdout.splitlines() if line.startswith("  setup_s: ")]
+    assert len(setup) == 1, run.stdout
+    number = r"\d+\.\d{4}"
+    assert re.fullmatch(rf"  setup_s: base {number} \[{number}, {number}\]  change {number} "
+                        rf"\[{number}, {number}\]  \([+-]\d+\.\d%\); change won [01]/1 pairs, "
+                        r"[01] ties", setup[0]), setup[0]

@@ -20,6 +20,12 @@ prints each side's median and quartiles of per-cycle wall and CPU seconds,
 and the pairs each metric was won by the change (ties counting for neither).
 It is a sizing tool: claims of a gain still come from ``perfbench/run.py``.
 
+With ``--setup N`` it also times the set-up that ``perfbench/run.py``
+reports as ``setup_s``: N fresh-process probes per side, alternating, after
+one warm-up probe of each side.  A probe times imports plus
+``workloads.first_call(W)`` with that side's package, copied as
+``asianmc``, standing in for the checkout's.
+
 It also checks that the two sides compute the same thing: on the first
 timed cycle it compares each op's output on the two sides (a CLI op's exit
 code, CSV and standard error; the fields of each Estimate of a library op,
@@ -45,6 +51,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 
+# one set-up probe: argv is the directory holding the side's asianmc, the
+# perfbench directory and the workload; the package is imported first, so
+# the workloads module reads it rather than the checkout's
+PROBE = """import sys, time
+t0 = time.perf_counter()
+sys.path[:0] = sys.argv[1:3]
+import asianmc
+import workloads
+workloads.first_call(sys.argv[3])
+print(repr(time.perf_counter() - t0))
+if not workloads.cli.__file__.startswith(sys.argv[1]):
+    sys.exit("the probe read another asianmc: " + workloads.cli.__file__)
+"""
+
 
 def _copy_package(rev: str, dest: Path) -> None:
     """``src/asianmc`` of git revision ``rev`` (``.``: the working tree) as ``dest``."""
@@ -58,6 +78,14 @@ def _copy_package(rev: str, dest: Path) -> None:
         tar.extractall(dest.parent / "_extract", filter="data")
     (dest.parent / "_extract" / "src" / "asianmc").rename(dest)
     shutil.rmtree(dest.parent / "_extract")
+
+
+def _probe_setup(package_dir: Path, workload: str) -> float:
+    """Seconds of imports plus one tiny call per op of ``workload`` in a fresh
+    interpreter, with the ``asianmc`` under ``package_dir``."""
+    out = subprocess.run([sys.executable, "-c", PROBE, str(package_dir), str(ROOT / "perfbench"),
+                          workload], cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    return float(out.split()[0])
 
 
 def _fingerprint(out) -> object:
@@ -81,9 +109,11 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("greeks-fd", "dist-curve", "sweep-bias"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cycles", type=int, default=30)
+    parser.add_argument("--setup", type=int, default=0, metavar="N",
+                        help="also time N fresh-process set-up probes per side")
     args = parser.parse_args(argv)
-    if args.cycles < 1:
-        parser.error("--cycles must be >= 1")
+    if args.cycles < 1 or args.setup < 0:
+        parser.error("--cycles must be >= 1 and --setup >= 0")
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -117,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
 
         for side in SIDES:
             run_ops(side, 0, tiny=True)
-        runs = {side: {"wall_s": [], "cpu_s": [], "failed": 0} for side in SIDES}
+        runs = {side: {"wall_s": [], "cpu_s": [], "setup_s": [], "failed": 0} for side in SIDES}
         outputs = {side: {} for side in SIDES}
         for cycle in range(args.cycles):
             for side in SIDES if cycle % 2 == 0 else SIDES[::-1]:
@@ -126,17 +156,25 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side]["wall_s"].append(wall)
                 runs[side]["cpu_s"].append(cpu)
                 runs[side]["failed"] += failed
+        if args.setup:
+            for side, rev in zip(SIDES, (args.base, args.change)):
+                _copy_package(rev, Path(tmp) / "probe" / side / "asianmc")
+            for probe in range(-1, args.setup):  # probe -1 warms up
+                for side in SIDES if probe % 2 == 0 else SIDES[::-1]:
+                    seconds = _probe_setup(Path(tmp) / "probe" / side, args.workload)
+                    if probe >= 0:
+                        runs[side]["setup_s"].append(seconds)
 
     print(f"{args.workload}, seed {args.seed}, {args.cycles} cycles: "
           f"base {args.base}, change {args.change}")
-    for metric in ("wall_s", "cpu_s"):
+    for metric in [m for m in ("wall_s", "cpu_s", "setup_s") if runs["base"][m]]:
         base, change = runs["base"][metric], runs["change"][metric]
         wins = sum(c < b for b, c in zip(base, change))
         ties = sum(c == b for b, c in zip(base, change))
         b, c = _quartiles(base), _quartiles(change)
         print(f"  {metric}: base {b['median']:.4f} [{b['q1']:.4f}, {b['q3']:.4f}]  "
               f"change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]  "
-              f"({c['median'] / b['median'] - 1:+.1%}); change won {wins}/{args.cycles} "
+              f"({c['median'] / b['median'] - 1:+.1%}); change won {wins}/{len(base)} "
               f"pairs, {ties} ties")
     print(f"  failed ops: base {runs['base']['failed']}, change {runs['change']['failed']}")
     differ = [name for name, out in outputs["base"].items() if outputs["change"].get(name) != out]
