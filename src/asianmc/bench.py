@@ -10,7 +10,10 @@ so a cell's rows at several step counts share their paths and differ only by
 discretization.  The sweep only groups its cells, records the errors and
 sorts the rows: its groups are drawn and estimated by
 ``estimators._estimates``, the loop that draws and estimates for the Greek
-report and the single-quantity commands too.  ``quadrature_bias_report`` is such a sweep of the private
+report and the single-quantity commands too.  Each call is labelled with its
+cell, (point, n_paths, method, seed), and each estimate comes back with that
+label and its grid's step count, so the sweep keeps no list in the loop's
+order.  ``quadrature_bias_report`` is such a sweep of the private
 ``_MEAN_INTEGRAL`` row at one (t, nu): each grid's mean integral is a
 :class:`SweepRow`, its distance from the closed form a ``gap=`` flag.
 """
@@ -162,10 +165,11 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     drawn and estimated by ``estimators._estimates``: each group is one draw
     at the finest count, which carries every (horizon, drift) key its cells
     read at stride finest / s for each count s, and each cell is estimated
-    on each stride's batches.  ``threads`` (None, the default, is serial)
-    spreads the groups' draws over worker threads: consecutive groups are
-    drawn together until their chunks fill the workers, so groups of one
-    chunk are drawn in parallel too.
+    on each stride's batches; a row is made from the cell the loop hands
+    back with each estimate, and the step count of its grid.  ``threads``
+    (None, the default, is serial) spreads the groups' draws over worker
+    threads: consecutive groups are drawn together until their chunks fill
+    the workers, so groups of one chunk are drawn in parallel too.
     """
     q = _ROWS[spec.quantity]
     grid = _step_counts(spec.n_steps)
@@ -187,15 +191,12 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
         for n, seed in product(spec.n_paths, spec.seeds):
             groups.setdefault((seed, n, steps), {})[pt] = args
 
-    todo = sorted(groups.items())
-    # the cells in the order _estimates gives their estimates
-    cells = [(pt, n, s, m, seed) for (seed, n, steps), pts in todo for s in steps
-             for pt in pts for m in spec.methods]
     estimates = _estimates([(MCConfig(n, steps[-1], seed, spec.antithetic), steps,
-                             [(q, m, args) for args in pts.values() for m in spec.methods])
-                            for (seed, n, steps), pts in todo], threads)
+                             [((pt, n, m, seed), q, m, args) for pt, args in pts.items()
+                              for m in spec.methods])
+                            for (seed, n, steps), pts in sorted(groups.items())], threads)
     rows = list(errors.values())
-    for (pt, n, s, m, seed), estimate in zip(cells, estimates):
+    for (pt, n, m, seed), s, estimate in estimates:
         try:
             rows.append(SweepRow(pt, n, s, m, seed, estimate()))
         except Exception as exc:  # on the default grid an error row holds None

@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import os
+import re
 import sys
 from typing import Mapping, Sequence
 
@@ -48,7 +49,14 @@ _COMMAND_ROWS = {"price": ("price",), "greeks": ("price",), "cdf": ("cdf",),
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1 and a one-line remedy."""
+    """argparse with usage failures mapped to exit code 1 and a one-line remedy,
+    reading every negative float literal (-1e-3, -.5, -inf) as a value, not as
+    an option; argparse's own pattern takes only -1 and -0.5 forms."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         sys.stderr.write(f"error: {message}\nremedy: run '{self.prog} --help' for usage\n")
@@ -207,7 +215,8 @@ def _arguments(q: Quantity, args) -> dict:
 
 def _run_quantity(args) -> list[list[str]]:
     """One quantity at one point, every chosen method on one shared
-    ensemble: one group of ``estimators._estimates``."""
+    ensemble: one group of ``estimators._estimates``, each call labelled by
+    its method."""
     order = getattr(args, "order", 0)
     name = _COMMAND_ROWS[args.command][order]
     if order and args.nu != 0.0:
@@ -217,9 +226,9 @@ def _run_quantity(args) -> list[list[str]]:
     call = _arguments(q, args)
     cfg = _cfg(args, q.horizon(call))
     call.update({"bandwidth": args.bandwidth} if "bandwidth" in args else {})
-    estimates = _estimates([(cfg, (cfg.n_steps,), [(q, m, call) for m in methods])], args.threads)
-    return [_row(name, m, estimate(), vars(args), cfg.n_paths, cfg.n_steps, cfg.master_seed)
-            for m, estimate in zip(methods, estimates)]
+    calls = [(m, q, m, call) for m in methods]
+    return [_row(name, m, estimate(), vars(args), cfg.n_paths, s, cfg.master_seed)
+            for m, s, estimate in _estimates([(cfg, (cfg.n_steps,), calls)], args.threads)]
 
 
 def _run_greeks(args) -> list[list[str]]:

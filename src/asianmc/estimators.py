@@ -551,15 +551,15 @@ def _call(method: str, args: Mapping) -> str:
     return f"{method} estimate at " + ", ".join(f"{name}={value}" for name, value in args.items())
 
 
-def _call_keys(calls: Iterable[tuple[Quantity, str, Mapping]],
+def _call_keys(calls: Iterable[tuple[object, Quantity, str, Mapping]],
                strides: Sequence[int] = (1,)) -> list[tuple[float, float, int]]:
     """The sorted path-core keys (horizon, drift, k), at each of the
-    ``strides`` k, of the (horizon, drift) pairs the ``(row, method, args)``
-    calls read.  A call whose arguments or method the row rejects, or that
-    reads a key the path core cannot draw (a negative horizon), adds no key;
-    made with the ensemble, it raises its own error."""
+    ``strides`` k, of the (horizon, drift) pairs the ``(label, row, method,
+    args)`` calls read.  A call whose arguments or method the row rejects, or
+    that reads a key the path core cannot draw (a negative horizon), adds no
+    key; made with the ensemble, it raises its own error."""
     keys: set[tuple[float, float, int]] = set()
-    for q, method, args in calls:
+    for _, q, method, args in calls:
         try:
             q.check(args)
             reads = q.keys(method, args) if method in q.methods else ()
@@ -572,20 +572,21 @@ def _call_keys(calls: Iterable[tuple[Quantity, str, Mapping]],
 
 
 def _estimates(groups: Sequence[tuple[MCConfig, Sequence[int], Sequence]],
-               threads: int | None = None) -> Iterator[partial]:
-    """Each ``(row, method, args)`` call of each ``(cfg, step counts, calls)``
-    group, estimated on that group's draw, as a deferred call of
-    :func:`_estimate`: the consumer calls it, so an error is raised, or
-    caught, at the call it belongs to.
+               threads: int | None = None) -> Iterator[tuple[object, int, partial]]:
+    """``(label, n_steps, estimate)`` for each ``(label, row, method, args)``
+    call of each ``(cfg, step counts, calls)`` group at each of its step
+    counts: the caller's label, the grid's step count, and the call
+    estimated on that grid of the group's draw, as a deferred call of
+    :func:`_estimate`.  The consumer calls it, so an error is raised, or
+    caught, at the call it belongs to, and reads the cell from the label.
 
     A group is one draw at ``cfg``, whose step count is the finest of the
     group's counts, each of which divides it; its keys are every (horizon,
     drift) its calls read (:func:`_call_keys`), at stride cfg.n_steps // s
-    for each count s, so the calls at every count read the same paths.  The
-    calls come in order of step count, then of call.  Every group is drawn
-    in one call of the path core, as the groups are read, so the chunks of
-    small groups share the ``threads`` workers (None, the default, is
-    serial) and one window of draws is held at a time (see
+    for each count s, so the calls at every count read the same paths.
+    Every group is drawn in one call of the path core, as the groups are
+    read, so the chunks of small groups share the ``threads`` workers (None,
+    the default, is serial) and one window of draws is held at a time (see
     :func:`~asianmc.paths._batches`).  This is the one loop that draws and
     estimates: the sweep, the Greek report and each single-quantity command
     read it.
@@ -596,8 +597,8 @@ def _estimates(groups: Sequence[tuple[MCConfig, Sequence[int], Sequence]],
         for s in steps:
             grid = replace(cfg, n_steps=s)
             ens = {(b.t, b.nu): b for b in batches if b.cfg == grid}
-            for q, method, args in calls:
-                yield partial(_estimate, q, grid, method, ens, **args)
+            for label, q, method, args in calls:
+                yield label, s, partial(_estimate, q, grid, method, ens, **args)
 
 
 # ---------------------------------------------------------------------------

@@ -440,18 +440,16 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
     comes from one draw of normals, whose chunks ``threads`` spreads over
     worker threads as in :func:`~asianmc.paths.sample_ensemble` (None, the
     default, is serial), and the rows are estimated on it in turn, price
-    first, so the first that fails raises.
+    first, so the first that fails raises.  Each call is labelled by its
+    (name, method), which keys its estimate.
     """
     sensitivities = ("delta", "gamma", "theta", "vega")
     price_method = NAIVE if method == NAIVE else IDENTITY
     greek_method = FD if method == NAIVE else method
     methods = (greek_method, FD) if fd_check else (greek_method,)
-    calls = [("price", price_method)] + [(name, m) for name in sensitivities for m in methods]
-    estimates = _estimates([(cfg, (cfg.n_steps,), [(QUANTITIES[name], m, {"spec": spec})
-                                                  for name, m in calls])], threads)
-    est = {call: estimate() for call, estimate in zip(calls, estimates)}
-    report = GreekReport(spec, method, est["price", price_method],
-                         *(est[name, greek_method] for name in sensitivities))
-    if not fd_check:
-        return report
-    return replace(report, fd_cross_checks={name: est[name, FD] for name in sensitivities})
+    names = [("price", price_method)] + [(name, m) for name in sensitivities for m in methods]
+    calls = [((name, m), QUANTITIES[name], m, {"spec": spec}) for name, m in names]
+    est = {label: e() for label, _, e in _estimates([(cfg, (cfg.n_steps,), calls)], threads)}
+    return GreekReport(spec, method, est["price", price_method],
+                       *(est[name, greek_method] for name in sensitivities),
+                       {name: est[name, FD] for name in sensitivities} if fd_check else None)

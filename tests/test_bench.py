@@ -183,6 +183,23 @@ def test_nested_step_counts_read_strides_of_one_draw(monkeypatch):
         replace(spec, n_steps=())
 
 
+def test_each_row_of_a_multi_cell_sweep_is_its_own_cells_estimate():
+    # a repeated grid value, several points and horizons, two seeds, two path
+    # counts (1500 paths: two chunks) and nested step counts: every row is,
+    # bit for bit, the row of a one-cell sweep of its own point, path count,
+    # seed and method at the same counts, so no row is given to another cell
+    spec = SweepSpec("cdf", {"a": (0.5, 1.0, 0.5), "t": (0.5, 1.0), "nu": (0.0, 1.0)},
+                     (64, 1500), (1, 2), ("naive", "identity"), n_steps=(8, 16))
+    rows = run_sweep(spec).rows
+    cells = dict.fromkeys((r.point, r.n_paths, r.seed, r.method) for r in rows)
+    alone = [row for pt, n, seed, m in cells
+             for row in run_sweep(replace(spec, grids={k: (v,) for k, v in pt}, n_paths=(n,),
+                                          seeds=(seed,), methods=(m,))).rows]
+    assert len(cells) == 2 * 2 * 2 * 2 * 2 * 2 and all(r.error is None for r in rows)
+    assert [r.n_steps for r in rows] == [8, 16] * len(cells)
+    assert repr(list(rows)) == repr(alone)  # repr tells every float bit apart
+
+
 def test_greek_quantity_sweep():
     spec = SweepSpec("delta", {"expiry": (0.5, 1.0)}, (1_000,), (5,), ("fd",),
                      n_steps=128)

@@ -76,6 +76,10 @@ def test_domain_error_exit_two():
     (("joint", "--b", "inf", "--a", "1"), "b must be finite"),
     (("kernel", "--a", "1", "--nu", "nan"), "nu must be finite"),
     (("bias", "--t", "nan"), "t must be finite"),
+    # a negative float literal in any form is a value, not a missing argument
+    (("cdf", "--a", "-1e-300"), "a must be positive, got -1e-300"),
+    (("cdf", "--a", "1", "--nu", "-inf"), "nu must be finite, got -inf"),
+    (("cdf", "--a", "1", "--nu", "-NaN"), "nu must be finite, got nan"),
     # finite inputs whose horizon or scale is not a positive finite number
     (("price", "--sigma", "1e200"), "horizon sigma^2 expiry must be finite"),
     (("greeks", "--sigma", "1e200"), "horizon sigma^2 expiry must be finite"),
@@ -140,16 +144,18 @@ _SINGLE_QUANTITY_COMMANDS = [
 def _extreme_argvs():
     """Every parameter of every single-quantity command at 1e+-8, 1e+-100,
     1e+-200 and 1e+-300, each other required parameter at 1; and bias's t
-    (at nu 0 and at its default nu 1) and nu at the same magnitudes."""
+    (at nu 0 and at its default nu 1) and nu at the same magnitudes; then
+    each of those at its negative, which the parser reads as a value."""
     cases = [(("bias", "--nu", "0"), "t"), (("bias",), "t"), (("bias",), "nu")]
     for command, row in _SINGLE_QUANTITY_COMMANDS:
         q = am.estimators.QUANTITIES[row]
         cases += [((*command, *(arg for p in q.params if p not in q.defaults and p != name
                                 for arg in (f"--{p}", "1"))), name) for name in q.params]
-    for prefix, name in cases:
-        for value in (f"1e{sign}{e}" for e in (8, 100, 200, 300) for sign in "+-"):
-            argv = (*prefix, f"--{name}", value)
-            yield pytest.param(argv, name, id=" ".join(argv))
+    for minus in ("", "-"):
+        for prefix, name in cases:
+            for value in (f"{minus}1e{sign}{e}" for e in (8, 100, 200, 300) for sign in "+-"):
+                argv = (*prefix, f"--{name}", value)
+                yield pytest.param(argv, name, id=" ".join(argv))
 
 
 def test_a_drift_whose_grid_overflows_names_itself_in_the_cells_that_read_it():
@@ -212,6 +218,15 @@ def test_every_parameter_at_extreme_magnitudes_names_itself_or_stays_finite(argv
         assert re.search(rf"\b{name}\b", first), err
         if "leaves the float range" in first:
             assert f"{name}={float(argv[-1])!r}" in first, err
+
+
+@pytest.mark.parametrize("exponent_form, plain_form", [("-1e-3", "-0.001"), ("-1E+0", "-1"),
+                                                      ("-.5e1", "-5")])
+def test_a_negative_value_in_exponent_form_reads_as_its_plain_form(exponent_form, plain_form):
+    # argparse's own pattern reads only -1 and -0.5 forms as negative numbers
+    size = ("--a", "1", "--paths", "64", "--steps", "8")
+    code, out, err = invoke("cdf", *size, "--nu", exponent_form)
+    assert (code, err) == (0, "") and out == invoke("cdf", *size, "--nu", plain_form)[1]
 
 
 @pytest.mark.parametrize("argv, option", [

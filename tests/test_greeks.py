@@ -259,7 +259,8 @@ def test_fd_vega_bumped_prices_equal_fresh_draws_at_each_horizon():
     # draw at that horizon, bit for bit (1500 paths: two chunks)
     spec = OptionSpec(s0=1.0, strike=1.1, sigma=0.8, rate=0.02, expiry=1.5)
     cfg = MCConfig(1_500, 64, 3)
-    vega = next(_estimates([(cfg, (cfg.n_steps,), [(QUANTITIES["vega"], FD, {"spec": spec})])]))
+    _, _, vega = next(_estimates([(cfg, (cfg.n_steps,), [(None, QUANTITIES["vega"], FD,
+                                                          {"spec": spec})])]))
     up, dn, h = _central(spec, "sigma", "vega", vega.args[3])  # _estimate(q, cfg, method, ens)
     assert h == FD_REL_STEP["vega"] * spec.sigma
     for values, sigma in ((up, spec.sigma + h), (dn, spec.sigma - h)):

@@ -31,6 +31,20 @@ timed cycle it compares each op's output on the two sides (a CLI op's exit
 code, CSV and standard error; the fields of each Estimate of a library op,
 as ``perfbench/run.py`` fingerprints them), prints the ops whose outputs
 differ or that none does, and exits 1 if any differs.
+
+With ``--runs N`` it instead sizes a claim the way a claim is judged, from
+fresh processes of the benchmark itself:
+
+    python3 tools/ab.py HEAD . --workload greeks-fd --seed 3 --runs 10 --seconds 30
+
+Each side gets a temporary checkout holding that side's ``src/asianmc`` and
+the working tree's ``perfbench/`` and ``BENCHMARK.json``, and
+``perfbench/run.py --workload W --seed S --trace 0 --seconds T`` runs there
+N times per side, the side that goes first alternating from pair to pair.
+For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
+median, the base's quartiles, the pairs the change won and a verdict
+(:func:`verdict`), then each side's failed ops; it exits 1 if a metric is
+worse.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ import argparse
 import dataclasses
 import importlib
 import io
+import json
 import shutil
 import statistics
 import subprocess
@@ -101,6 +116,82 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _wins(base: list[float], change: list[float], better: str = "lower") -> int:
+    """The pairs the change won; ``better`` is ``lower`` or ``higher``."""
+    return sum(c < b if better == "lower" else c > b for b, c in zip(base, change))
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's paired runs, read by the simplicity-review rule.
+
+    ``gain`` when at least 10 pairs ran, the change won at least 9 of each
+    10 (ties count for neither) and the medians differ by more than the
+    interquartile range of the base's runs; ``worse`` when the change's
+    median is worse than the base's by more than ``bound``, a fraction of
+    the base's median; ``unresolved`` when the base's runs spread wider
+    than that bound and not every run of the change beats every run of the
+    base; else ``same``.  ``better`` is ``lower`` or ``higher``, as
+    ``BENCHMARK.json`` declares it.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (b - c) > 0: the change is better
+    q = _quartiles(base)
+    spread = q["q3"] - q["q1"]
+    gap = sign * (q["median"] - statistics.median(change))
+    if len(base) >= 10 and 10 * _wins(base, change, better) >= 9 * len(base) and gap > spread:
+        return "gain"
+    if -gap > bound * abs(q["median"]):
+        return "worse"
+    if spread > bound * abs(q["median"]) and min(sign * (b - c) for b in base for c in change) <= 0:
+        return "unresolved"
+    return "same"
+
+
+def _checkout(rev: str, dest: Path) -> None:
+    """A checkout at ``dest`` that ``perfbench/run.py`` can run in: ``rev``'s
+    ``src/asianmc`` with the working tree's ``perfbench/`` and
+    ``BENCHMARK.json``."""
+    _copy_package(rev, dest / "src" / "asianmc")
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", dest)
+
+
+def fresh_runs(args) -> int:
+    """``--runs``: alternating fresh ``perfbench/run.py`` processes of each
+    side; prints each end-to-end metric's medians, wins and verdict."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, rev in zip(SIDES, (args.base, args.change)):
+            _checkout(rev, Path(tmp) / side)
+        for pair in range(args.runs):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                out = subprocess.run(
+                    [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                     "--seed", str(args.seed), "--trace", "0", "--seconds", str(seconds)],
+                    cwd=Path(tmp) / side, stdout=subprocess.PIPE, text=True, check=True).stdout
+                runs[side].append(json.loads(out.splitlines()[-1]))
+
+    print(f"{args.workload}, seed {args.seed}, {args.runs} fresh runs of {seconds:g} s "
+          f"per side: base {args.base}, change {args.change}")
+    worse = False
+    for metric in spec["end_to_end"]:
+        base, change = ([r["metrics"][metric["name"]]["value"] for r in runs[side]]
+                        for side in SIDES)
+        wins = _wins(base, change, metric["better"])
+        b, c = _quartiles(base), statistics.median(change)
+        reading = verdict(base, change, metric["better"], metric["bound"])
+        worse |= reading == "worse"
+        print(f"  {metric['name']}: base {b['median']:.4f} [{b['q1']:.4f}, {b['q3']:.4f}]  "
+              f"change {c:.4f} ({c / b['median'] - 1:+.1%}); change won {wins}/{len(base)} "
+              f"pairs; {reading} (bound {metric['bound']:.0%})")
+    print("  failed ops: " + ", ".join(
+        f"{side} {sum(r['failed'] for r in runs[side])}/{sum(r['attempted'] for r in runs[side])}"
+        for side in SIDES))
+    return 1 if worse else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision of the base side, or . for the working tree")
@@ -111,9 +202,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cycles", type=int, default=30)
     parser.add_argument("--setup", type=int, default=0, metavar="N",
                         help="also time N fresh-process set-up probes per side")
+    parser.add_argument("--runs", type=int, default=0, metavar="N",
+                        help="instead, run perfbench/run.py N times per side in fresh processes")
+    parser.add_argument("--seconds", type=float, default=None, metavar="T",
+                        help="with --runs, the length of each run (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
-    if args.cycles < 1 or args.setup < 0:
-        parser.error("--cycles must be >= 1 and --setup >= 0")
+    if args.cycles < 1 or args.setup < 0 or args.runs < 0:
+        parser.error("--cycles must be >= 1, and --setup and --runs >= 0")
+    if args.runs:
+        return fresh_runs(args)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -169,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
           f"base {args.base}, change {args.change}")
     for metric in [m for m in ("wall_s", "cpu_s", "setup_s") if runs["base"][m]]:
         base, change = runs["base"][metric], runs["change"][metric]
-        wins = sum(c < b for b, c in zip(base, change))
+        wins = _wins(base, change)
         ties = sum(c == b for b, c in zip(base, change))
         b, c = _quartiles(base), _quartiles(change)
         print(f"  {metric}: base {b['median']:.4f} [{b['q1']:.4f}, {b['q3']:.4f}]  "
