@@ -44,7 +44,7 @@ print("Full report with finite-difference cross-checks at tau = 1:")
 spec = am.OptionSpec(1.0, 1.0, 1.0, 0.0, 1.0)
 cfg = am.MCConfig(N, 1024, 42)
 report = am.greek_report(spec, cfg, fd_check=True)
-for name in ("price", "delta", "gamma", "theta", "vega"):
+for name in ("price", *am.greeks.SENSITIVITIES):
     est = getattr(report, name)
     line = f"  {name:6s} {est.mean:9.4f} +- {est.stderr:7.4f}  [{est.method}]"
     if report.fd_cross_checks and name in report.fd_cross_checks:

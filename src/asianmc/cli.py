@@ -21,10 +21,10 @@ import io
 import os
 import re
 import sys
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from . import bench, greeks
-from .estimators import IDENTITY, NAIVE, QUANTITIES, Estimate, Quantity, _estimates
+from .estimators import IDENTITY, QUANTITIES, Estimate, Quantity, _estimates
 from .paths import MCConfig, default_steps
 
 CSV_HEADER = (
@@ -46,6 +46,8 @@ _EXIT_DOMAIN = 2
 _COMMAND_ROWS = {"price": ("price",), "greeks": ("price",), "cdf": ("cdf",),
                  "density": ("density",), "joint": ("joint_cdf",),
                  "kernel": ("call_kernel", "call_kernel_d1", "call_kernel_d2")}
+# the rows whose naive finite difference takes a --bandwidth
+_BANDWIDTH_ROWS = ("density", "call_kernel_d2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("kernel", "E[(A_t^(nu) - a)^+] and its a-derivatives")
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=0,
                    help="derivative order in a")
+    p.add_argument("--bandwidth", type=float, default=None,
+                   help="naive --order 2's finite-difference half-width (default 0.05*a)")
 
     p = command("sweep", "evaluate a quantity over parameter grids")
     p.add_argument("--quantity", required=True,
@@ -193,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _method_choice(args, valid: Sequence[str]) -> tuple[str, ...]:
+def _method_choice(args, valid: Collection[str]) -> tuple[str, ...]:
     if args.method == "both":
         return tuple(valid)
     if args.method not in valid:
@@ -221,11 +225,13 @@ def _run_quantity(args) -> list[list[str]]:
     name = _COMMAND_ROWS[args.command][order]
     if order and args.nu != 0.0:
         raise ValueError(f"--nu is taken only by kernel --order 0, not --order {args.order}")
+    if name not in _BANDWIDTH_ROWS and getattr(args, "bandwidth", None) is not None:
+        raise ValueError(f"--bandwidth is taken only by kernel --order 2, not --order {order}")
     q = QUANTITIES[name]
     methods = _method_choice(args, tuple(q.methods))
     call = _arguments(q, args)
     cfg = _cfg(args, q.horizon(call))
-    call.update({"bandwidth": args.bandwidth} if "bandwidth" in args else {})
+    call.update({"bandwidth": args.bandwidth} if name in _BANDWIDTH_ROWS else {})
     calls = [(m, q, m, call) for m in methods]
     return [_row(name, m, estimate(), vars(args), cfg.n_paths, s, cfg.master_seed)
             for m, s, estimate in _estimates([(cfg, (cfg.n_steps,), calls)], args.threads)]
@@ -234,9 +240,9 @@ def _run_quantity(args) -> list[list[str]]:
 def _run_greeks(args) -> list[list[str]]:
     spec = _arguments(QUANTITIES["price"], args)["spec"]
     cfg = _cfg(args, spec.horizon)
-    method = IDENTITY if args.method == "both" else _method_choice(args, (NAIVE, IDENTITY))[0]
+    method = IDENTITY if args.method == "both" else _method_choice(args, greeks.REPORT_METHODS)[0]
     report = greeks.greek_report(spec, cfg, method, fd_check=args.fd_check, threads=args.threads)
-    ests = [(name, getattr(report, name)) for name in ("price", "delta", "gamma", "theta", "vega")]
+    ests = [(name, getattr(report, name)) for name in ("price", *greeks.SENSITIVITIES)]
     ests += (report.fd_cross_checks or {}).items()
     return [_row(name, est.method, est, vars(args), cfg.n_paths, cfg.n_steps, cfg.master_seed)
             for name, est in ests]

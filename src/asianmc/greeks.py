@@ -32,7 +32,10 @@ carries no discount (the ``printed-form=`` flag of :func:`vega`).
 
 Method tags: ``identity`` uses the closed-form transformed estimators,
 ``naive`` prices the raw discounted payoff, ``fd`` differentiates the naive
-price with common random numbers.
+price with common random numbers.  A :func:`greek_report` takes one of two
+report methods (:data:`REPORT_METHODS`): ``identity``, every row by its
+identity, or ``naive``, the naive price with the four ``fd`` Greeks.  Its
+rows are the price and then :data:`SENSITIVITIES`, in that order.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ from .estimators import (
 from .paths import NONNEGATIVE, POSITIVE, MCConfig, PathBatch, check_formed, check_param
 
 FD = "fd"
+
+# the four sensitivities, in the order a report lists them after its price
+SENSITIVITIES = ("delta", "gamma", "theta", "vega")
+# each report method: the method of its price and that of its four Greeks
+REPORT_METHODS = {NAIVE: (NAIVE, FD), IDENTITY: (IDENTITY, IDENTITY)}
 
 # Relative finite-difference steps, all with common random numbers.
 FD_REL_STEP = {"delta": 1e-2, "gamma": 5e-2, "theta": 5e-2, "vega": 1e-2}
@@ -432,24 +440,33 @@ def greek_report(spec: OptionSpec, cfg: MCConfig, method: str = IDENTITY,
                  fd_check: bool = False, *, threads: int | None = None) -> GreekReport:
     """Price plus all four Greeks from one shared path ensemble.
 
-    With ``fd_check`` the report also carries the four common-random-number
-    finite-difference cross-checks: delta and gamma in s0 and theta through
-    the pricing relation with those FD Greeks, and vega in sigma, which
-    reads the ensemble at its two sigma-moved horizons.  The report is one
-    group of ``estimators._estimates``: every (horizon, drift) its rows read
-    comes from one draw of normals, whose chunks ``threads`` spreads over
-    worker threads as in :func:`~asianmc.paths.sample_ensemble` (None, the
-    default, is serial), and the rows are estimated on it in turn, price
-    first, so the first that fails raises.  Each call is labelled by its
+    ``method`` is one of :data:`REPORT_METHODS`: ``identity`` (the default)
+    estimates the price and the four Greeks by their identities, ``naive``
+    the price by its payoff and the Greeks by finite differences (``fd``);
+    any other value raises ValueError.  With ``fd_check`` the report also
+    carries the four common-random-number finite-difference cross-checks:
+    delta and gamma in s0 and theta through the pricing relation with those
+    FD Greeks, and vega in sigma, which reads the ensemble at its two
+    sigma-moved horizons.  A naive report's Greeks are those FD estimates,
+    so its cross-checks are the same estimates, not estimated again.
+
+    The report is one group of ``estimators._estimates``: every (horizon,
+    drift) its rows read comes from one draw of normals, whose chunks
+    ``threads`` spreads over worker threads as in
+    :func:`~asianmc.paths.sample_ensemble` (None, the default, is serial),
+    and each (name, method) is estimated on it once, in turn, price first
+    and then each of :data:`SENSITIVITIES` at the Greek method and, with
+    ``fd_check``, at ``fd`` unless that is the Greek method, so the first
+    that fails raises.  Each call is labelled by its
     (name, method), which keys its estimate.
     """
-    sensitivities = ("delta", "gamma", "theta", "vega")
-    price_method = NAIVE if method == NAIVE else IDENTITY
-    greek_method = FD if method == NAIVE else method
-    methods = (greek_method, FD) if fd_check else (greek_method,)
-    names = [("price", price_method)] + [(name, m) for name in sensitivities for m in methods]
+    if method not in REPORT_METHODS:
+        raise ValueError(f"method must be one of {', '.join(REPORT_METHODS)}, got {method!r}")
+    price_method, greek_method = REPORT_METHODS[method]
+    methods = (greek_method, FD) if fd_check and greek_method != FD else (greek_method,)
+    names = [("price", price_method)] + [(name, m) for name in SENSITIVITIES for m in methods]
     calls = [((name, m), QUANTITIES[name], m, {"spec": spec}) for name, m in names]
     est = {label: e() for label, _, e in _estimates([(cfg, (cfg.n_steps,), calls)], threads)}
     return GreekReport(spec, method, est["price", price_method],
-                       *(est[name, greek_method] for name in sensitivities),
-                       {name: est[name, FD] for name in sensitivities} if fd_check else None)
+                       *(est[name, greek_method] for name in SENSITIVITIES),
+                       {name: est[name, FD] for name in SENSITIVITIES} if fd_check else None)

@@ -8,8 +8,9 @@ import pytest
 
 import asianmc as am
 from asianmc import MCConfig, OptionSpec
-from asianmc.estimators import IDENTITY, QUANTITIES, _estimates
-from asianmc.greeks import FD, FD_REL_STEP, _central, price_naive_values, theta_fd_expiry
+from asianmc.estimators import IDENTITY, NAIVE, QUANTITIES, _estimates
+from asianmc.greeks import (FD, FD_REL_STEP, SENSITIVITIES, _central, price_naive_values,
+                            theta_fd_expiry)
 
 FIG_CONFIG = OptionSpec(s0=1.0, strike=1.0, sigma=1.0, rate=0.0, expiry=1.0)
 
@@ -316,6 +317,43 @@ def test_greek_report_estimates_equal_stand_alone_calls(method):
             (alone.mean, alone.stderr, alone.flags, alone.method)
     assert any(flag.startswith("printed-form=") for flag in report.vega.flags) \
         == (method == "identity")
+
+
+@pytest.mark.parametrize("method, fd_check, greek_methods", [
+    (IDENTITY, True, (IDENTITY, FD)),
+    (IDENTITY, False, (IDENTITY,)),
+    (NAIVE, True, (FD,)),  # the FD Greeks are the cross-checks: 9 calls before
+    (NAIVE, False, (FD,)),
+])
+def test_greek_report_estimates_each_row_and_method_once(monkeypatch, method, fd_check,
+                                                         greek_methods):
+    # the report's one group estimates the price at its price method, then
+    # each sensitivity at its Greek method and, with fd_check, at fd, unless
+    # that is the Greek method; each (row, method) once, counted by a wrapper
+    calls = []
+    estimate = am.estimators._estimate
+
+    def counted(q, cfg, m, ensemble, **args):
+        calls.append((next(name for name, row in QUANTITIES.items() if row is q), m))
+        return estimate(q, cfg, m, ensemble, **args)
+
+    monkeypatch.setattr(am.estimators, "_estimate", counted)
+    spec = OptionSpec(s0=1.0, strike=1.1, sigma=0.8, rate=0.02, expiry=1.5)
+    report = am.greek_report(spec, MCConfig(300, 16, 3), method, fd_check)
+    assert calls == [("price", method)] + [(name, m) for name in SENSITIVITIES
+                                           for m in greek_methods]
+    assert len(calls) == 9 if method == IDENTITY and fd_check else len(calls) == 5
+    if fd_check:
+        greeks = {name: getattr(report, name) for name in SENSITIVITIES}
+        assert (report.fd_cross_checks == greeks) == (method == NAIVE)
+
+
+@pytest.mark.parametrize("method", ["fd", "bogus"])
+def test_greek_report_takes_only_its_two_methods(method):
+    # the identity price over FD Greeks is not a report method
+    with pytest.raises(ValueError, match=rf"^method must be one of naive, identity, "
+                                         rf"got '{method}'$"):
+        am.greek_report(FIG_CONFIG, MCConfig(100, 8, 1), method, fd_check=True)
 
 
 def test_greek_report_zero_strike():

@@ -104,6 +104,23 @@ def test_ab_verdict_reads_paired_runs_by_the_simplicity_review_rule():
     assert verdict(wide, [0.9] * 10, "lower", 0.25) == "same"
 
 
+def test_ab_runs_line_prints_both_sides_quartiles_and_what_the_verdict_compares():
+    runs_line = _ab().runs_line
+    # base sorted 0.97 ... 1.03: median 1.00, quartiles 0.98 and 1.02; the
+    # change sorted 0.87 ... 0.93, 1.5: median 0.905, quartiles 0.88 and
+    # 0.9225; the gap 1.00 - 0.905 beats the base's IQR of 0.04
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [1.5] + [b - 0.1 for b in base[1:]]
+    assert runs_line({"name": "wall_s", "better": "lower", "bound": 0.25}, base, change) == (
+        "  wall_s: base 1.0000 [0.9800, 1.0200]  change 0.9050 [0.8800, 0.9225]  (-9.5%); "
+        "gap +0.0950 against base IQR 0.0400; change won 9/10 pairs; gain (bound 25%)", "gain")
+    # a metric the change makes worse reads a negative gap
+    assert runs_line({"name": "peak_rss_mb", "better": "lower", "bound": 0.1}, base,
+                     [b * 1.3 for b in base]) == (
+        "  peak_rss_mb: base 1.0000 [0.9800, 1.0200]  change 1.3000 [1.2740, 1.3260]  (+30.0%); "
+        "gap -0.3000 against base IQR 0.0400; change won 0/10 pairs; worse (bound 10%)", "worse")
+
+
 def test_ab_checkout_holds_the_sides_package_and_the_working_trees_benchmark(tmp_path):
     # a fresh run reads the side's package with the working tree's benchmark
     _ab()._checkout(".", tmp_path)

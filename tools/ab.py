@@ -42,9 +42,10 @@ the working tree's ``perfbench/`` and ``BENCHMARK.json``, and
 ``perfbench/run.py --workload W --seed S --trace 0 --seconds T`` runs there
 N times per side, the side that goes first alternating from pair to pair.
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
-median, the base's quartiles, the pairs the change won and a verdict
-(:func:`verdict`), then each side's failed ops; it exits 1 if a metric is
-worse.
+median and quartiles, the gap between the medians and the base's
+interquartile range that the verdict compares, the pairs the change won
+and a verdict (:func:`verdict`, :func:`runs_line`), then each side's
+failed ops; it exits 1 if a metric is worse.
 """
 
 from __future__ import annotations
@@ -121,6 +122,14 @@ def _wins(base: list[float], change: list[float], better: str = "lower") -> int:
     return sum(c < b if better == "lower" else c > b for b, c in zip(base, change))
 
 
+def _gap(base: list[float], change: list[float], better: str) -> tuple[float, float]:
+    """The gap by which the change's median beats the base's (negative where
+    it is worse), and the interquartile range of the base's runs."""
+    q = _quartiles(base)
+    sign = 1.0 if better == "lower" else -1.0
+    return sign * (q["median"] - statistics.median(change)), q["q3"] - q["q1"]
+
+
 def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
     """One metric's paired runs, read by the simplicity-review rule.
 
@@ -135,8 +144,7 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     """
     sign = 1.0 if better == "lower" else -1.0  # sign * (b - c) > 0: the change is better
     q = _quartiles(base)
-    spread = q["q3"] - q["q1"]
-    gap = sign * (q["median"] - statistics.median(change))
+    gap, spread = _gap(base, change, better)
     if len(base) >= 10 and 10 * _wins(base, change, better) >= 9 * len(base) and gap > spread:
         return "gain"
     if -gap > bound * abs(q["median"]):
@@ -144,6 +152,24 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     if spread > bound * abs(q["median"]) and min(sign * (b - c) for b in base for c in change) <= 0:
         return "unresolved"
     return "same"
+
+
+def runs_line(metric: dict, base: list[float], change: list[float]) -> tuple[str, str]:
+    """One end-to-end metric's paired fresh runs as ``--runs`` prints them,
+    and its :func:`verdict`.  ``metric`` is its entry in ``BENCHMARK.json``.
+    The line holds each side's median and [q1, q3], the change's median
+    relative to the base's, the two numbers the verdict compares (the gap by
+    which the change's median beats the base's, negative where it is worse,
+    and the base's interquartile range), the pairs the change won and the
+    verdict with the metric's bound."""
+    reading = verdict(base, change, metric["better"], metric["bound"])
+    gap, spread = _gap(base, change, metric["better"])
+    b, c = _quartiles(base), _quartiles(change)
+    return (f"  {metric['name']}: base {b['median']:.4f} [{b['q1']:.4f}, {b['q3']:.4f}]  "
+            f"change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]  "
+            f"({c['median'] / b['median'] - 1:+.1%}); gap {gap:+.4f} against base IQR "
+            f"{spread:.4f}; change won {_wins(base, change, metric['better'])}/{len(base)} "
+            f"pairs; {reading} (bound {metric['bound']:.0%})"), reading
 
 
 def _checkout(rev: str, dest: Path) -> None:
@@ -175,21 +201,16 @@ def fresh_runs(args) -> int:
 
     print(f"{args.workload}, seed {args.seed}, {args.runs} fresh runs of {seconds:g} s "
           f"per side: base {args.base}, change {args.change}")
-    worse = False
+    readings = []
     for metric in spec["end_to_end"]:
-        base, change = ([r["metrics"][metric["name"]]["value"] for r in runs[side]]
-                        for side in SIDES)
-        wins = _wins(base, change, metric["better"])
-        b, c = _quartiles(base), statistics.median(change)
-        reading = verdict(base, change, metric["better"], metric["bound"])
-        worse |= reading == "worse"
-        print(f"  {metric['name']}: base {b['median']:.4f} [{b['q1']:.4f}, {b['q3']:.4f}]  "
-              f"change {c:.4f} ({c / b['median'] - 1:+.1%}); change won {wins}/{len(base)} "
-              f"pairs; {reading} (bound {metric['bound']:.0%})")
+        line, reading = runs_line(metric, *([r["metrics"][metric["name"]]["value"]
+                                             for r in runs[side]] for side in SIDES))
+        print(line)
+        readings.append(reading)
     print("  failed ops: " + ", ".join(
         f"{side} {sum(r['failed'] for r in runs[side])}/{sum(r['attempted'] for r in runs[side])}"
         for side in SIDES))
-    return 1 if worse else 0
+    return 1 if "worse" in readings else 0
 
 
 def main(argv: list[str] | None = None) -> int:
