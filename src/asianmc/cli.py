@@ -46,8 +46,6 @@ _EXIT_DOMAIN = 2
 _COMMAND_ROWS = {"price": ("price",), "greeks": ("price",), "cdf": ("cdf",),
                  "density": ("density",), "joint": ("joint_cdf",),
                  "kernel": ("call_kernel", "call_kernel_d1", "call_kernel_d2")}
-# the rows whose naive finite difference takes a --bandwidth
-_BANDWIDTH_ROWS = ("density", "call_kernel_d2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("kernel", "E[(A_t^(nu) - a)^+] and its a-derivatives")
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=0,
                    help="derivative order in a")
-    p.add_argument("--bandwidth", type=float, default=None,
-                   help="naive --order 2's finite-difference half-width (default 0.05*a)")
 
     p = command("sweep", "evaluate a quantity over parameter grids")
     p.add_argument("--quantity", required=True,
@@ -225,13 +221,11 @@ def _run_quantity(args) -> list[list[str]]:
     name = _COMMAND_ROWS[args.command][order]
     if order and args.nu != 0.0:
         raise ValueError(f"--nu is taken only by kernel --order 0, not --order {args.order}")
-    if name not in _BANDWIDTH_ROWS and getattr(args, "bandwidth", None) is not None:
-        raise ValueError(f"--bandwidth is taken only by kernel --order 2, not --order {order}")
     q = QUANTITIES[name]
     methods = _method_choice(args, tuple(q.methods))
     call = _arguments(q, args)
     cfg = _cfg(args, q.horizon(call))
-    call.update({"bandwidth": args.bandwidth} if name in _BANDWIDTH_ROWS else {})
+    call.update({"bandwidth": args.bandwidth} if "bandwidth" in args else {})
     calls = [(m, q, m, call) for m in methods]
     return [_row(name, m, estimate(), vars(args), cfg.n_paths, s, cfg.master_seed)
             for m, s, estimate in _estimates([(cfg, (cfg.n_steps,), calls)], args.threads)]

@@ -233,8 +233,6 @@ def test_a_negative_value_in_exponent_form_reads_as_its_plain_form(exponent_form
     (("price", "--method", "fd"), "--method fd"),
     (("greeks", "--method", "fd"), "--method fd"),
     (("kernel", "--a", "1", "--order", "1", "--nu", "2"), "--nu"),
-    (("kernel", "--a", "1", "--order", "1", "--bandwidth", "0.01"), "--bandwidth"),
-    (("kernel", "--a", "1", "--order", "0", "--bandwidth", "0.01"), "--bandwidth"),
     (("greeks", "--threads", "0"), "--threads"),
     (("sweep", "--quantity", "cdf", "--grid", "a=1", "--threads", "-3"), "--threads"),
 ])
@@ -360,8 +358,6 @@ ROUND_TRIPS = [
      lambda cfg, m: am.call_kernel_d1(0.4, 1.0, cfg, m), {}),
     (("kernel", "--a", "0.4", "--order", "2"),
      lambda cfg, m: am.call_kernel_d2(0.4, 1.0, cfg, m), {}),
-    (("kernel", "--a", "0.4", "--order", "2", "--bandwidth", "0.01"),
-     lambda cfg, m: am.call_kernel_d2(0.4, 1.0, cfg, m, bandwidth=0.01), {}),
 ]
 
 

@@ -28,8 +28,7 @@ SIZE = ("--paths", "256", "--steps", "64")
 # and an antithetic sweep with closed-form cells; last, one run more of each
 # command route that picks its own method, extras or threads: a naive greeks
 # report and a density with a bandwidth, both within the rule, then a
-# two-chunk threaded cdf (1,500 paths, 16 steps), an antithetic kernel and
-# a kernel second derivative with a bandwidth
+# two-chunk threaded cdf (1,500 paths, 16 steps) and an antithetic kernel
 ARGVS = [
     ("price", *SIZE),
     ("greeks", "--fd-check", "--seed", "3", *SIZE),
@@ -50,7 +49,6 @@ ARGVS = [
     ("density", "--a", "0.5", "--bandwidth", "0.01", *SIZE),
     ("cdf", "--a", "1", "--method", "naive", "--paths", "1500", "--steps", "16", "--threads", "2"),
     ("kernel", "--a", "1", "--order", "1", "--method", "identity", "--antithetic", *SIZE),
-    ("kernel", "--a", "2", "--order", "2", "--bandwidth", "0.05", *SIZE),
 ]
 
 

@@ -122,14 +122,6 @@ def _wins(base: list[float], change: list[float], better: str = "lower") -> int:
     return sum(c < b if better == "lower" else c > b for b, c in zip(base, change))
 
 
-def _gap(base: list[float], change: list[float], better: str) -> tuple[float, float]:
-    """The gap by which the change's median beats the base's (negative where
-    it is worse), and the interquartile range of the base's runs."""
-    q = _quartiles(base)
-    sign = 1.0 if better == "lower" else -1.0
-    return sign * (q["median"] - statistics.median(change)), q["q3"] - q["q1"]
-
-
 def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
     """One metric's paired runs, read by the simplicity-review rule.
 
@@ -142,16 +134,27 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     base; else ``same``.  ``better`` is ``lower`` or ``higher``, as
     ``BENCHMARK.json`` declares it.
     """
+    return _read(base, change, better, bound)[0]
+
+
+def _read(base: list[float], change: list[float], better: str,
+          bound: float) -> tuple[str, dict[str, float]]:
+    """:func:`verdict`'s reading and the numbers it compares: the base's
+    quartiles, the gap by which the change's median beats the base's
+    (negative where it is worse), the base's interquartile range and the
+    pairs the change won."""
     sign = 1.0 if better == "lower" else -1.0  # sign * (b - c) > 0: the change is better
     q = _quartiles(base)
-    gap, spread = _gap(base, change, better)
-    if len(base) >= 10 and 10 * _wins(base, change, better) >= 9 * len(base) and gap > spread:
-        return "gain"
-    if -gap > bound * abs(q["median"]):
-        return "worse"
-    if spread > bound * abs(q["median"]) and min(sign * (b - c) for b in base for c in change) <= 0:
-        return "unresolved"
-    return "same"
+    seen = {**q, "gap": sign * (q["median"] - statistics.median(change)),
+            "spread": q["q3"] - q["q1"], "wins": _wins(base, change, better)}
+    if len(base) >= 10 and 10 * seen["wins"] >= 9 * len(base) and seen["gap"] > seen["spread"]:
+        return "gain", seen
+    if -seen["gap"] > bound * abs(q["median"]):
+        return "worse", seen
+    if (seen["spread"] > bound * abs(q["median"])
+            and min(sign * (b - c) for b in base for c in change) <= 0):
+        return "unresolved", seen
+    return "same", seen
 
 
 def runs_line(metric: dict, base: list[float], change: list[float]) -> tuple[str, str]:
@@ -162,13 +165,12 @@ def runs_line(metric: dict, base: list[float], change: list[float]) -> tuple[str
     which the change's median beats the base's, negative where it is worse,
     and the base's interquartile range), the pairs the change won and the
     verdict with the metric's bound."""
-    reading = verdict(base, change, metric["better"], metric["bound"])
-    gap, spread = _gap(base, change, metric["better"])
-    b, c = _quartiles(base), _quartiles(change)
+    reading, b = _read(base, change, metric["better"], metric["bound"])
+    c = _quartiles(change)
     return (f"  {metric['name']}: base {b['median']:.4f} [{b['q1']:.4f}, {b['q3']:.4f}]  "
             f"change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]  "
-            f"({c['median'] / b['median'] - 1:+.1%}); gap {gap:+.4f} against base IQR "
-            f"{spread:.4f}; change won {_wins(base, change, metric['better'])}/{len(base)} "
+            f"({c['median'] / b['median'] - 1:+.1%}); gap {b['gap']:+.4f} against base IQR "
+            f"{b['spread']:.4f}; change won {b['wins']}/{len(base)} "
             f"pairs; {reading} (bound {metric['bound']:.0%})"), reading
 
 
